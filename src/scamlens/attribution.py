@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import AbstractSet
+from typing import AbstractSet, Any, Mapping
 
 import numpy as np
 
@@ -46,11 +46,8 @@ class AttributionConfig:
     n_samples: int = 64
     noise_std: float = 0.01
     seed: int = 0
-    baseline: str = "pad_embedding"
 
     def __post_init__(self) -> None:
-        if self.baseline != "pad_embedding":
-            raise ValueError(f"unsupported baseline {self.baseline!r}")
         if self.noise_std < 0:
             raise ValueError("noise_std must be non-negative")
 
@@ -83,6 +80,21 @@ class EvidenceSet:
 
     def words(self) -> tuple[str, ...]:
         return tuple(word for word, _ in self.phrases)
+
+
+def evidence_to_record(message_id: str, evidence: EvidenceSet, seed: int) -> dict[str, object]:
+    return {
+        "id": message_id,
+        "phrases": [{"word": w, "score": s} for w, s in evidence.phrases],
+        "k": evidence.k,
+        "seed": seed,
+    }
+
+
+def evidence_from_record(record: Mapping[str, Any]) -> tuple[str, EvidenceSet]:
+    """(message id, evidence set); the attribution seed is provenance only."""
+    phrases = tuple((str(p["word"]), float(p["score"])) for p in record["phrases"])
+    return str(record["id"]), EvidenceSet(phrases=phrases, k=int(record["k"]))
 
 
 def gradient_shap(

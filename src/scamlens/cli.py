@@ -20,7 +20,7 @@ import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from . import __version__, attribution, corpus, detector, evaluation, generation, lexicon, persona
 
@@ -127,7 +127,7 @@ def load_run_config(path: str | Path | None) -> RunConfig:
     nli = dict(data.get("nli", {}))
     mock_llm = bool(llm.pop("mock", False))
     mock_nli = bool(nli.pop("mock", False))
-    config = RunConfig(
+    return RunConfig(
         corpus_path=data.get("corpus_path"),
         synth_seed=int(synth.get("seed", 7)),
         synth_per_stratum=int(synth.get("per_channel_per_label", 100)),
@@ -150,7 +150,6 @@ def load_run_config(path: str | Path | None) -> RunConfig:
         out_dir=data.get("out_dir"),
         config_sha256=hashlib.sha256(raw_text.encode("utf-8")).hexdigest() if raw_text else None,
     )
-    return config
 
 
 def apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
@@ -174,7 +173,7 @@ def apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _write_jsonl(path: Path, records: Sequence[Mapping[str, Any]]) -> None:
+def _write_jsonl(path: Path, records: Iterable[Mapping[str, Any]]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
             handle.write(json.dumps(record, sort_keys=True, ensure_ascii=False))
@@ -185,6 +184,18 @@ def _write_json(path: Path, payload: Mapping[str, Any]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True, ensure_ascii=False)
         handle.write("\n")
+
+
+def _read_records(path: str, parse: Callable[[Mapping[str, Any]], Any]) -> list[Any]:
+    parsed = []
+    for number, record in enumerate(corpus.read_raw_records(path), start=1):
+        try:
+            parsed.append(parse(record))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise corpus.CorpusError(
+                f"{path}: record {number} is malformed ({type(exc).__name__}: {exc})"
+            ) from None
+    return parsed
 
 
 def _resolve_out_dir(config: RunConfig) -> Path:
@@ -204,7 +215,9 @@ def _resolve_out_dir(config: RunConfig) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# Pipeline stages
+# Pipeline stages. `run_pipeline` and the stage subcommands share one function
+# per stage (`_predict`, `_explain`, `_evaluate`, `_report`) that runs the stage
+# and writes its artifacts.
 # ---------------------------------------------------------------------------
 
 
@@ -247,15 +260,15 @@ def _explanation_subset(
         stratum = [i for i, m in enumerate(filtered.messages) if m.channel is channel]
         if not stratum:
             continue
+        # Never above len(stratum), because sample_fraction <= 1.
         count = max(1, int(math.floor(config.sample_fraction * len(stratum) + 0.5)))
-        count = min(count, len(stratum))
         selected.extend(rng.sample(stratum, count))
     selected.sort()
     return corpus.MessageSet(tuple(filtered.messages[i] for i in selected))
 
 
 def _compute_evidence(
-    config: RunConfig, model: detector.DetectorModel, subset: corpus.MessageSet
+    config: RunConfig, model: detector.DetectorModel, messages: corpus.MessageSet
 ) -> tuple[list[tuple[corpus.Message, attribution.EvidenceSet]], int]:
     attrib_config = attribution.AttributionConfig(
         n_samples=config.attribution_n_samples,
@@ -263,58 +276,59 @@ def _compute_evidence(
         seed=config.attribution_seed,
     )
     kept: list[tuple[corpus.Message, attribution.EvidenceSet]] = []
-    dropped = 0
-    for message in subset:
+    for message in messages:
         tokenized = detector.tokenize(
             corpus.format_input(message), model.vocab, model.piece_limit
         )
         sub = attribution.gradient_shap(model, tokenized, attrib_config)
         words = attribution.aggregate_to_words(sub, tokenized)
         evidence = attribution.filter_evidence(words, k=config.evidence_k)
-        if not evidence.phrases:
-            dropped += 1
-            continue
-        kept.append((message, evidence))
-    return kept, dropped
+        if evidence.phrases:
+            kept.append((message, evidence))
+    return kept, len(messages) - len(kept)
 
 
-def _mock_style_for(condition: generation.Condition) -> generation.MockStyle:
-    if condition is generation.Condition.PURE_LLM:
-        return generation.MockStyle.EVIDENCE_BLIND
-    return generation.MockStyle.EVIDENCE_ECHOING
+# explain-one's --persona values; "high" and "low" are persona.VulnerabilityLevel values.
+_PERSONA_CONDITIONS = {
+    "high": generation.Condition.XAI_HIGH_VULNERABILITY,
+    "low": generation.Condition.XAI_LOW_VULNERABILITY,
+    "none": generation.Condition.XAI_ONLY,
+}
 
 
 def _build_prompts(
     config: RunConfig,
     with_evidence: Sequence[tuple[corpus.Message, attribution.EvidenceSet]],
-) -> list[tuple[generation.Prompt, attribution.EvidenceSet]]:
+) -> list[generation.Prompt]:
     instructions = {
-        generation.Condition.XAI_HIGH_VULNERABILITY: persona.build_instruction(
-            persona.persona_from_vulnerability(persona.VulnerabilityLevel.HIGH_VULNERABILITY)
-        ),
-        generation.Condition.XAI_LOW_VULNERABILITY: persona.build_instruction(
-            persona.persona_from_vulnerability(persona.VulnerabilityLevel.LOW_VULNERABILITY)
-        ),
+        condition: persona.build_instruction(
+            persona.persona_from_vulnerability(persona.VulnerabilityLevel(flag))
+        )
+        for flag, condition in _PERSONA_CONDITIONS.items()
+        if condition.wants_persona
     }
-    prompts = []
-    for condition in config.conditions:
-        for message, evidence in with_evidence:
-            prompt = generation.build_prompt(
-                condition,
-                corpus.format_input(message),
-                evidence if condition.wants_evidence else None,
-                instructions.get(condition),
-                message_id=message.id,
-            )
-            prompts.append((prompt, evidence))
-    return prompts
+    return [
+        generation.build_prompt(
+            condition,
+            corpus.format_input(message),
+            evidence if condition.wants_evidence else None,
+            instructions.get(condition),
+            message_id=message.id,
+        )
+        for condition in config.conditions
+        for message, evidence in with_evidence
+    ]
 
 
 def _generate_all(
     config: RunConfig, prompts: Sequence[generation.Prompt]
 ) -> list[generation.Explanation]:
     if config.mock_llm:
-        return [generation.mock_generate(p, _mock_style_for(p.condition)) for p in prompts]
+        echo, blind = generation.MockStyle.EVIDENCE_ECHOING, generation.MockStyle.EVIDENCE_BLIND
+        return [
+            generation.mock_generate(p, echo if p.condition.wants_evidence else blind)
+            for p in prompts
+        ]
     if "base_url" not in config.llm or "model_name" not in config.llm:
         raise ConfigError("remote generation needs llm.base_url and llm.model_name, or --mock")
     llm_config = generation.LlmClientConfig(**config.llm)
@@ -344,11 +358,59 @@ def _score_all(
                 message_id=explanation.message_id,
                 condition=explanation.condition,
                 correctness=evaluation.correctness(scores, eval_config),
-                fkgl=evaluation.fkgl(explanation.text, eval_config).fkgl,
+                fkgl=evaluation.fkgl(explanation.text).fkgl,
                 faithfulness=faith,
             )
         )
     return metrics
+
+
+def _predict(
+    model: detector.DetectorModel, messages: corpus.MessageSet, path: Path
+) -> dict[str, detector.Prediction]:
+    predictions = _stage("predict", detector.predict_set, model, messages)
+    _write_jsonl(path, (detector.prediction_to_record(mid, p) for mid, p in predictions.items()))
+    return predictions
+
+
+def _explain(
+    config: RunConfig, model: detector.DetectorModel, messages: corpus.MessageSet, out: Path
+) -> tuple[dict[str, attribution.EvidenceSet], int, list[generation.Explanation]]:
+    """Returns evidence by message id, the empty-evidence count and the explanations."""
+    with_evidence, dropped = _stage("attribution", _compute_evidence, config, model, messages)
+    if not with_evidence:
+        raise ConfigError("every message to explain produced an empty evidence set")
+    _write_jsonl(
+        out / "evidence.jsonl",
+        (attribution.evidence_to_record(m.id, e, config.attribution_seed) for m, e in with_evidence),
+    )
+    prompts = _stage("prompts", _build_prompts, config, with_evidence)
+    explanations = _stage("generate", _generate_all, config, prompts)
+    _write_jsonl(out / "explanations.jsonl", map(generation.explanation_to_record, explanations))
+    return {message.id: evidence for message, evidence in with_evidence}, dropped, explanations
+
+
+def _evaluate(
+    config: RunConfig,
+    explanations: Sequence[generation.Explanation],
+    evidence_by_id: Mapping[str, attribution.EvidenceSet],
+    path: Path,
+) -> list[evaluation.MessageMetrics]:
+    metrics = _stage("evaluate", _score_all, config, explanations, evidence_by_id)
+    _write_jsonl(path, map(evaluation.metrics_to_record, metrics))
+    return metrics
+
+
+def _report(metrics: Sequence[evaluation.MessageMetrics], out: Path) -> str:
+    out.mkdir(parents=True, exist_ok=True)
+    grouped: dict[generation.Condition, list[evaluation.MessageMetrics]] = {}
+    for m in metrics:
+        grouped.setdefault(m.condition, []).append(m)
+    report = _stage("report", evaluation.aggregate_report, grouped)
+    _write_json(out / "report.json", evaluation.report_to_json(report))
+    table = evaluation.render_report_table(report)
+    (out / "report.txt").write_text(table, encoding="utf-8")
+    return table
 
 
 def run_pipeline(config: RunConfig, allow_train: bool) -> Path:
@@ -360,19 +422,7 @@ def run_pipeline(config: RunConfig, allow_train: bool) -> Path:
     model, model_path = _stage("model", _load_or_train_model, config, messages, allow_train, out)
     model = detector.freeze(model)
 
-    predictions = _stage("predict", detector.predict_set, model, messages)
-    _write_jsonl(
-        out / "predictions.jsonl",
-        [
-            {
-                "id": mid,
-                "scam_probability": p.scam_probability,
-                "logit": p.logit,
-                "predicted_label": p.predicted_label.value,
-            }
-            for mid, p in predictions.items()
-        ],
-    )
+    predictions = _predict(model, messages, out / "predictions.jsonl")
 
     predicted_labels = {mid: p.predicted_label for mid, p in predictions.items()}
     filtered = _stage("filter", corpus.filter_for_explanation, messages, predicted_labels)
@@ -383,61 +433,9 @@ def run_pipeline(config: RunConfig, allow_train: bool) -> Path:
     subset = _stage("subset", _explanation_subset, config, filtered)
     corpus.save_jsonl(subset, out / "subset.jsonl")
 
-    with_evidence, dropped = _stage("attribution", _compute_evidence, config, model, subset)
-    if not with_evidence:
-        raise ConfigError("every subset message produced an empty evidence set")
-    _write_jsonl(
-        out / "evidence.jsonl",
-        [
-            {
-                "id": message.id,
-                "phrases": [{"word": w, "score": s} for w, s in evidence.phrases],
-                "k": evidence.k,
-                "seed": config.attribution_seed,
-            }
-            for message, evidence in with_evidence
-        ],
-    )
-
-    prompt_pairs = _stage("prompts", _build_prompts, config, with_evidence)
-    prompts = [p for p, _ in prompt_pairs]
-    explanations = _stage("generate", _generate_all, config, prompts)
-    _write_jsonl(
-        out / "explanations.jsonl",
-        [
-            {
-                "message_id": e.message_id,
-                "condition": e.condition.value,
-                "text": e.text,
-                "generator": e.generator.value,
-                "model_name": e.model_name,
-            }
-            for e in explanations
-        ],
-    )
-
-    evidence_by_id = {message.id: evidence for message, evidence in with_evidence}
-    metrics = _stage("evaluate", _score_all, config, explanations, evidence_by_id)
-    _write_jsonl(
-        out / "metrics.jsonl",
-        [
-            {
-                "message_id": m.message_id,
-                "condition": m.condition.value,
-                "faithfulness": m.faithfulness,
-                "correctness": m.correctness,
-                "fkgl": m.fkgl,
-            }
-            for m in metrics
-        ],
-    )
-
-    grouped: dict[generation.Condition, list[evaluation.MessageMetrics]] = {}
-    for m in metrics:
-        grouped.setdefault(m.condition, []).append(m)
-    report = _stage("report", evaluation.aggregate_report, grouped)
-    _write_json(out / "report.json", evaluation.report_to_json(report))
-    (out / "report.txt").write_text(evaluation.render_report_table(report), encoding="utf-8")
+    evidence_by_id, dropped, explanations = _explain(config, model, subset, out)
+    metrics = _evaluate(config, explanations, evidence_by_id, out / "metrics.jsonl")
+    _report(metrics, out)
 
     manifest = {
         "package_version": __version__,
@@ -514,19 +512,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     messages = corpus.load_jsonl(args.corpus)
     model = detector.freeze(detector.load_model(args.model))
-    predictions = detector.predict_set(model, messages)
-    _write_jsonl(
-        Path(args.out),
-        [
-            {
-                "id": mid,
-                "scam_probability": p.scam_probability,
-                "logit": p.logit,
-                "predicted_label": p.predicted_label.value,
-            }
-            for mid, p in predictions.items()
-        ],
-    )
+    predictions = _predict(model, messages, Path(args.out))
     print(f"wrote {len(predictions)} predictions to {args.out}")
     return 0
 
@@ -539,16 +525,9 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _persona_condition(flag: str) -> generation.Condition:
-    return {
-        "high": generation.Condition.XAI_HIGH_VULNERABILITY,
-        "low": generation.Condition.XAI_LOW_VULNERABILITY,
-        "none": generation.Condition.XAI_ONLY,
-    }[flag]
-
-
 def _cmd_explain_one(args: argparse.Namespace) -> int:
     config = apply_overrides(load_run_config(args.config), args)
+    config.conditions = (_PERSONA_CONDITIONS[args.persona],)
     model = detector.freeze(detector.load_model(args.model))
     message = corpus.Message(
         id="adhoc-000000",
@@ -558,49 +537,23 @@ def _cmd_explain_one(args: argparse.Namespace) -> int:
         subject=args.subject if args.channel == "email" else None,
         source="cli",
     )
-    formatted = corpus.format_input(message)
-    tokenized = detector.tokenize(formatted, model.vocab, model.piece_limit)
-    prediction = detector.forward(model, tokenized)
+    single = corpus.MessageSet((message,))
+    prediction = detector.predict_set(model, single)[message.id]
     print(
         f"prediction: {prediction.predicted_label.value} "
         f"(p_scam={prediction.scam_probability:.4f}, logit={prediction.logit:+.4f})"
     )
-
-    attrib_config = attribution.AttributionConfig(
-        n_samples=config.attribution_n_samples,
-        noise_std=config.attribution_noise_std,
-        seed=config.attribution_seed,
-    )
-    sub = _stage("attribution", attribution.gradient_shap, model, tokenized, attrib_config)
-    words = attribution.aggregate_to_words(sub, tokenized)
-    evidence = attribution.filter_evidence(words, k=config.evidence_k)
+    with_evidence, _ = _stage("attribution", _compute_evidence, config, model, single)
     print("evidence:")
-    for word, score in evidence.phrases:
-        print(f"  {score:+.5f}  {word}")
-    if not evidence.phrases:
+    for _, evidence in with_evidence:
+        for word, score in evidence.phrases:
+            print(f"  {score:+.5f}  {word}")
+    if not with_evidence:
         print("  (empty)")
         return 1
-
-    condition = _persona_condition(args.persona)
-    instruction = None
-    if condition.wants_persona:
-        level = (
-            persona.VulnerabilityLevel.HIGH_VULNERABILITY
-            if args.persona == "high"
-            else persona.VulnerabilityLevel.LOW_VULNERABILITY
-        )
-        instruction = persona.build_instruction(persona.persona_from_vulnerability(level))
-    prompt = generation.build_prompt(
-        condition, formatted, evidence, instruction, message_id=message.id
-    )
-    if args.mock:
-        explanation = generation.mock_generate(prompt, generation.MockStyle.EVIDENCE_ECHOING)
-    else:
-        if "base_url" not in config.llm or "model_name" not in config.llm:
-            raise ConfigError("remote generation needs llm.base_url and llm.model_name, or --mock")
-        llm_config = generation.LlmClientConfig(**config.llm)
-        explanation = _stage("generate", generation.generate, llm_config, prompt)
-    print(f"condition: {condition.value}")
+    prompts = _build_prompts(config, with_evidence)
+    (explanation,) = _stage("generate", _generate_all, config, prompts)
+    print(f"condition: {explanation.condition.value}")
     print(f"explanation ({explanation.generator.value}):")
     print(explanation.text)
     return 0
@@ -608,98 +561,26 @@ def _cmd_explain_one(args: argparse.Namespace) -> int:
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     config = apply_overrides(load_run_config(args.config), args)
-    config.sample_fraction = 1.0
+    out = _resolve_out_dir(config)
     messages = corpus.load_jsonl(args.corpus)
     model = detector.freeze(detector.load_model(args.model))
-    with_evidence, dropped = _stage("attribution", _compute_evidence, config, model, messages)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_jsonl(
-        out / "evidence.jsonl",
-        [
-            {
-                "id": message.id,
-                "phrases": [{"word": w, "score": s} for w, s in evidence.phrases],
-                "k": evidence.k,
-                "seed": config.attribution_seed,
-            }
-            for message, evidence in with_evidence
-        ],
-    )
-    prompt_pairs = _build_prompts(config, with_evidence)
-    prompts = [p for p, _ in prompt_pairs]
-    explanations = _stage("generate", _generate_all, config, prompts)
-    _write_jsonl(
-        out / "explanations.jsonl",
-        [
-            {
-                "message_id": e.message_id,
-                "condition": e.condition.value,
-                "text": e.text,
-                "generator": e.generator.value,
-                "model_name": e.model_name,
-            }
-            for e in explanations
-        ],
-    )
-    print(f"explained {len(with_evidence)} messages ({dropped} dropped for empty evidence)")
+    evidence_by_id, dropped, _ = _explain(config, model, messages, out)
+    print(f"explained {len(evidence_by_id)} messages ({dropped} dropped for empty evidence)")
     return 0
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = apply_overrides(load_run_config(args.config), args)
-    evidence_by_id: dict[str, attribution.EvidenceSet] = {}
-    for record in corpus.read_raw_records(args.evidence):
-        phrases = tuple((p["word"], float(p["score"])) for p in record["phrases"])
-        evidence_by_id[str(record["id"])] = attribution.EvidenceSet(
-            phrases=phrases, k=int(record["k"])
-        )
-    explanations = []
-    for record in corpus.read_raw_records(args.explanations):
-        explanations.append(
-            generation.Explanation(
-                message_id=str(record["message_id"]),
-                condition=generation.Condition(record["condition"]),
-                text=str(record["text"]),
-                generator=generation.GeneratorKind(record["generator"]),
-                model_name=str(record["model_name"]),
-            )
-        )
-    metrics = _stage("evaluate", _score_all, config, explanations, evidence_by_id)
-    _write_jsonl(
-        Path(args.out),
-        [
-            {
-                "message_id": m.message_id,
-                "condition": m.condition.value,
-                "faithfulness": m.faithfulness,
-                "correctness": m.correctness,
-                "fkgl": m.fkgl,
-            }
-            for m in metrics
-        ],
-    )
+    evidence_by_id = dict(_read_records(args.evidence, attribution.evidence_from_record))
+    explanations = _read_records(args.explanations, generation.explanation_from_record)
+    metrics = _evaluate(config, explanations, evidence_by_id, Path(args.out))
     print(f"scored {len(metrics)} explanations to {args.out}")
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    grouped: dict[generation.Condition, list[evaluation.MessageMetrics]] = {}
-    for record in corpus.read_raw_records(args.metrics):
-        m = evaluation.MessageMetrics(
-            message_id=str(record["message_id"]),
-            condition=generation.Condition(record["condition"]),
-            correctness=float(record["correctness"]),
-            fkgl=float(record["fkgl"]),
-            faithfulness=None if record["faithfulness"] is None else float(record["faithfulness"]),
-        )
-        grouped.setdefault(m.condition, []).append(m)
-    report = evaluation.aggregate_report(grouped)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "report.json", evaluation.report_to_json(report))
-    (out / "report.txt").write_text(evaluation.render_report_table(report), encoding="utf-8")
-    print((out / "report.txt").read_text(encoding="utf-8"), end="")
+    metrics = _read_records(args.metrics, evaluation.metrics_from_record)
+    print(_report(metrics, Path(args.out)), end="")
     return 0
 
 
@@ -710,6 +591,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Options that apply_overrides folds into the run config.
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config")
+    run.add_argument("--mock", action="store_true")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[run])
+    seeded.add_argument("--seed", type=int)
 
     p = sub.add_parser("ingest", help="normalize raw JSONL records into the corpus format")
     p.add_argument("--in", dest="infile", required=True)
@@ -743,22 +630,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("explain", help="attribution + generation for a prepared corpus")
+    p = sub.add_parser("explain", parents=[seeded], help="attribution + generation for a prepared corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.add_argument("--mock", action="store_true")
-    p.add_argument("--seed", type=int)
     p.add_argument("--conditions")
     p.set_defaults(func=_cmd_explain)
 
-    p = sub.add_parser("evaluate", help="score explanations against evidence")
+    p = sub.add_parser("evaluate", parents=[run], help="score explanations against evidence")
     p.add_argument("--evidence", required=True)
     p.add_argument("--explanations", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.add_argument("--mock", action="store_true")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("report", help="aggregate per-message metrics into the results table")
@@ -766,24 +648,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("pipeline", help="run every stage end to end")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--mock", action="store_true")
+    p = sub.add_parser("pipeline", parents=[seeded], help="run every stage end to end")
     p.add_argument("--train", action="store_true", help="train the detector if no checkpoint exists")
     p.add_argument("--conditions")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_pipeline)
 
-    p = sub.add_parser("explain-one", help="inspect one message end to end")
+    p = sub.add_parser("explain-one", parents=[seeded], help="inspect one message end to end")
     p.add_argument("--text", required=True)
     p.add_argument("--channel", required=True, choices=[c.value for c in corpus.Channel])
     p.add_argument("--subject")
     p.add_argument("--model", required=True)
-    p.add_argument("--persona", choices=["high", "low", "none"], default="none")
-    p.add_argument("--mock", action="store_true")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--persona", choices=list(_PERSONA_CONDITIONS), default="none")
     p.set_defaults(func=_cmd_explain_one)
 
     return parser
@@ -794,11 +670,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RuntimeError as exc:
-        # Stage failures carry the stage name.
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (
+        RuntimeError,  # stage failures, which carry the stage name
         ConfigError,
         corpus.CorpusError,
         detector.DetectorError,

@@ -238,6 +238,15 @@ class Prediction:
     logit: float
 
 
+def prediction_to_record(message_id: str, prediction: Prediction) -> dict[str, object]:
+    return {
+        "id": message_id,
+        "scam_probability": prediction.scam_probability,
+        "logit": prediction.logit,
+        "predicted_label": prediction.predicted_label.value,
+    }
+
+
 @dataclass(frozen=True)
 class DetectorModel:
     """Embedding table + mean pooling + one hidden layer + logistic output.

@@ -22,7 +22,7 @@ import string
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from statistics import mean, stdev
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from . import lexicon
 from .attribution import EvidenceSet
@@ -72,11 +72,6 @@ class EmptyGroupError(EvaluationError):
 @dataclass(frozen=True)
 class EvaluationConfig:
     alpha: float = 0.5
-    hypothesis: str = RISK_HYPOTHESIS
-    stopwords_version: str = lexicon.STOPWORDS_VERSION
-    fkgl_sentence_weight: float = 0.39
-    fkgl_syllable_weight: float = 11.8
-    fkgl_offset: float = 15.59
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.alpha <= 1.0):
@@ -196,12 +191,8 @@ class NliClientConfig:
     backoff_base: float = 0.5
 
 
-def score_nli(
-    config: NliClientConfig, explanation: Explanation, hypothesis: str = RISK_HYPOTHESIS
-) -> NliScores:
+def score_nli(config: NliClientConfig, explanation: Explanation) -> NliScores:
     """Score one explanation against the risk hypothesis over HTTP."""
-    if hypothesis != RISK_HYPOTHESIS:
-        raise ValueError("hypothesis must be the configured risk hypothesis string")
     headers = {}
     if config.api_key_env_var:
         key = os.environ.get(config.api_key_env_var, "")
@@ -210,7 +201,7 @@ def score_nli(
     url = config.base_url.rstrip("/") + "/nli"
     response = post_json_with_retry(
         url,
-        {"premise": explanation.text, "hypothesis": hypothesis},
+        {"premise": explanation.text, "hypothesis": RISK_HYPOTHESIS},
         headers,
         timeout=config.timeout,
         max_retries=config.max_retries,
@@ -231,7 +222,6 @@ def score_nli(
 def score_nli_many(
     config: NliClientConfig,
     explanations: Sequence[Explanation],
-    hypothesis: str = RISK_HYPOTHESIS,
     max_in_flight: int = 4,
 ) -> list[NliScores]:
     """Bounded-concurrency scoring; results follow input order, never
@@ -239,7 +229,7 @@ def score_nli_many(
     if not explanations:
         return []
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-        futures = [pool.submit(score_nli, config, e, hypothesis) for e in explanations]
+        futures = [pool.submit(score_nli, config, e) for e in explanations]
         return [future.result() for future in futures]
 
 
@@ -311,7 +301,7 @@ class ReadabilityBreakdown:
     fkgl: float
 
 
-def fkgl(text: str, config: EvaluationConfig = EvaluationConfig()) -> ReadabilityBreakdown:
+def fkgl(text: str) -> ReadabilityBreakdown:
     """Flesch-Kincaid grade level; may be negative for very simple text.
 
     Words are whitespace tokens containing at least one letter or digit;
@@ -326,7 +316,7 @@ def fkgl(text: str, config: EvaluationConfig = EvaluationConfig()) -> Readabilit
     )
     sc = len(words) / len(sentences)
     ld = syllables / len(words)
-    value = config.fkgl_sentence_weight * sc + config.fkgl_syllable_weight * ld - config.fkgl_offset
+    value = 0.39 * sc + 11.8 * ld - 15.59
     return ReadabilityBreakdown(
         words=len(words),
         sentences=len(sentences),
@@ -352,6 +342,27 @@ class MessageMetrics:
     correctness: float
     fkgl: float
     faithfulness: float | None = None
+
+
+def metrics_to_record(metrics: MessageMetrics) -> dict[str, object]:
+    return {
+        "message_id": metrics.message_id,
+        "condition": metrics.condition.value,
+        "faithfulness": metrics.faithfulness,
+        "correctness": metrics.correctness,
+        "fkgl": metrics.fkgl,
+    }
+
+
+def metrics_from_record(record: Mapping[str, Any]) -> MessageMetrics:
+    faith = record["faithfulness"]
+    return MessageMetrics(
+        message_id=str(record["message_id"]),
+        condition=Condition(record["condition"]),
+        correctness=float(record["correctness"]),
+        fkgl=float(record["fkgl"]),
+        faithfulness=None if faith is None else float(faith),
+    )
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 import requests
 
@@ -89,6 +89,26 @@ class Explanation:
     def __post_init__(self) -> None:
         if not self.text.strip():
             raise ValueError("explanation text must be non-empty")
+
+
+def explanation_to_record(explanation: Explanation) -> dict[str, object]:
+    return {
+        "message_id": explanation.message_id,
+        "condition": explanation.condition.value,
+        "text": explanation.text,
+        "generator": explanation.generator.value,
+        "model_name": explanation.model_name,
+    }
+
+
+def explanation_from_record(record: Mapping[str, Any]) -> Explanation:
+    return Explanation(
+        message_id=str(record["message_id"]),
+        condition=Condition(record["condition"]),
+        text=str(record["text"]),
+        generator=GeneratorKind(record["generator"]),
+        model_name=str(record["model_name"]),
+    )
 
 
 @dataclass(frozen=True)

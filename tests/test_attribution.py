@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,8 @@ from scamlens.attribution import (
     ZeroSamplesError,
     aggregate_to_words,
     completeness_gap,
+    evidence_from_record,
+    evidence_to_record,
     filter_evidence,
     gradient_shap,
 )
@@ -221,3 +225,21 @@ class TestEndToEndEvidence:
             for word, _ in filter_evidence(words, STOPWORDS, k=8).phrases:
                 assert word not in MARKER_TOKENS
                 assert is_risk_token(word) or not is_stopword_surface(word)
+
+
+@st.composite
+def evidence_sets(draw):
+    phrases = draw(
+        st.lists(st.tuples(st.text(), st.floats(allow_nan=False)), max_size=8).map(tuple)
+    )
+    k = draw(st.integers(min_value=max(1, len(phrases)), max_value=64))
+    return EvidenceSet(phrases=phrases, k=k)
+
+
+class TestEvidenceRecord:
+    @given(st.text(), evidence_sets(), st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_through_json(self, message_id, evidence, seed):
+        record = evidence_to_record(message_id, evidence, seed)
+        text = json.dumps(record, sort_keys=True, ensure_ascii=False)
+        assert evidence_from_record(json.loads(text)) == (message_id, evidence)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -21,6 +22,18 @@ ARTIFACTS = (
     "report.txt",
     "manifest.json",
 )
+
+# SHA-256 of the artifacts of `pipeline --mock --train` with the default
+# `write_config` values. A change that alters these bytes on purpose re-pins
+# them and says why.
+GOLDEN_DIGESTS = {
+    "predictions.jsonl": "4e8bb23acfc3f283a1c6e04735b46fbf6d913c93c831d7fed2bf0c565fb8d270",
+    "evidence.jsonl": "95ae6485551a39d3502ddb8b6a7c83af6c6a5798d5915f55f0a7e864b3c79eae",
+    "explanations.jsonl": "40c29179b1ba9ffc77a8d9869cca4a5bba52da6d7701ec669cce5a62b74e154a",
+    "metrics.jsonl": "d66a53443b8828022bd3e4323c68d430fdb9a91b142dda2258f8c65739987767",
+    "report.json": "f7f7394622108a47bba9a06b5f7985f0a481bd277525a3fc0369aa47a5dbd7bf",
+    "report.txt": "a0013541b2bee9e365d3d0c021f3779249aac779be2a849b02521b5407e661ab",
+}
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -98,6 +111,13 @@ class TestPipelineCommand:
         assert cli.main(["pipeline", "--config", str(config), "--mock", "--train", "--out", str(out_b)]) == 0
         for name in ("evidence.jsonl", "explanations.jsonl", "metrics.jsonl", "report.json", "report.txt"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+    def test_mock_run_matches_golden_digests(self, tmp_path):
+        config = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert cli.main(["pipeline", "--config", str(config), "--mock", "--train", "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_DIGESTS}
+        assert digests == GOLDEN_DIGESTS
 
     def test_missing_model_without_train_flag_fails(self, tmp_path, capsys):
         config = write_config(tmp_path, model_path=str(tmp_path / "missing-model.json"))
@@ -351,6 +371,65 @@ class TestStageCommands:
         assert "No XAI" in table and "--" in table
 
 
+    def explain_args(self, tmp_path, frozen_model, messages, out):
+        corpus_path = tmp_path / "messages.jsonl"
+        corpus.save_jsonl(messages, corpus_path)
+        model_path = tmp_path / "model.json"
+        detector.save_model(frozen_model, model_path)
+        return ["explain", "--corpus", str(corpus_path), "--model", str(model_path), "--out", str(out), "--mock"]
+
+    def test_explain_refuses_nonempty_out_dir(self, tmp_path, frozen_model, small_corpus, capsys):
+        scams = corpus.MessageSet(tuple(m for m in small_corpus if m.label is corpus.Label.SCAM)[:2])
+        out = tmp_path / "explained"
+        out.mkdir()
+        (out / "stale.jsonl").write_text("{}\n")
+        rc = cli.main(self.explain_args(tmp_path, frozen_model, scams, out))
+        assert rc != 0
+        assert "not empty" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["stale.jsonl"]
+
+    def test_explain_fails_when_every_evidence_set_is_empty(self, tmp_path, frozen_model, capsys):
+        # Only stopwords: the evidence filter keeps nothing.
+        message = corpus.Message(
+            id="m1", channel=corpus.Channel.SMS, body="the and of to", label=corpus.Label.SCAM
+        )
+        rc = cli.main(
+            self.explain_args(tmp_path, frozen_model, corpus.MessageSet((message,)), tmp_path / "out")
+        )
+        assert rc != 0
+        assert "empty evidence" in capsys.readouterr().err
+
+    def test_evaluate_rejects_malformed_evidence_record(self, tmp_path, capsys):
+        evidence_path = tmp_path / "evidence.jsonl"
+        evidence_path.write_text(json.dumps({"id": "m1", "phrases": [], "seed": 0}) + "\n")
+        explanations_path = tmp_path / "explanations.jsonl"
+        explanations_path.write_text("")
+        rc = cli.main(
+            [
+                "evaluate",
+                "--evidence",
+                str(evidence_path),
+                "--explanations",
+                str(explanations_path),
+                "--out",
+                str(tmp_path / "metrics.jsonl"),
+                "--mock",
+            ]
+        )
+        assert rc != 0
+        err = capsys.readouterr().err
+        assert str(evidence_path) in err and "record 1" in err
+
+    def test_report_rejects_unknown_condition(self, tmp_path, capsys):
+        metrics_path = tmp_path / "metrics.jsonl"
+        row = {"message_id": "m1", "condition": "bogus", "faithfulness": None, "correctness": 0.5, "fkgl": 3.0}
+        metrics_path.write_text(json.dumps(row) + "\n")
+        rc = cli.main(["report", "--metrics", str(metrics_path), "--out", str(tmp_path / "report")])
+        assert rc != 0
+        err = capsys.readouterr().err
+        assert str(metrics_path) in err and "record 1" in err
+
+
 class TestExplainOne:
     def test_mock_explain_one_prints_evidence_and_text(self, tmp_path, frozen_model, capsys):
         model_path = tmp_path / "model.json"
@@ -395,6 +474,27 @@ class TestExplainOne:
         )
         assert rc == 0
         assert "condition: xai_only" in capsys.readouterr().out
+
+    def test_mock_from_config_file_is_honoured(self, tmp_path, frozen_model, capsys):
+        model_path = tmp_path / "model.json"
+        detector.save_model(frozen_model, model_path)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"llm": {"mock": True}}))
+        rc = cli.main(
+            [
+                "explain-one",
+                "--text",
+                "URGENT: your account is frozen, verify now at bit.ly/ab1cd",
+                "--channel",
+                "sms",
+                "--model",
+                str(model_path),
+                "--config",
+                str(config_path),
+            ]
+        )
+        assert rc == 0
+        assert "explanation (mock):" in capsys.readouterr().out
 
     def test_unreachable_endpoint_surfaces_stage_error(self, tmp_path, frozen_model, capsys, monkeypatch):
         monkeypatch.setenv("TEST_LLM_KEY", "k")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -29,6 +30,8 @@ from scamlens.evaluation import (
     faithfulness,
     fkgl,
     lemmatize,
+    metrics_from_record,
+    metrics_to_record,
     mock_score_nli,
     render_report_table,
     report_to_json,
@@ -206,14 +209,6 @@ class TestScoreNli:
         ]
         with pytest.raises(ProbabilitySumViolationError):
             score_nli(NliClientConfig(base_url=stub_server.url), make_explanation("text"))
-
-    def test_wrong_hypothesis_rejected(self, stub_server):
-        with pytest.raises(ValueError):
-            score_nli(
-                NliClientConfig(base_url=stub_server.url),
-                make_explanation("text"),
-                hypothesis="Something else.",
-            )
 
     def test_many_keeps_input_order_under_concurrency(self, stub_server):
         from scamlens.evaluation import score_nli_many
@@ -459,3 +454,22 @@ class TestReportRendering:
         assert first["label"] == CONDITION_LABELS[Condition.PURE_LLM]
         assert first["faithfulness"] is None
         assert set(first) == {"condition", "label", "n", "correctness", "fkgl", "faithfulness"}
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+message_metrics = st.builds(
+    MessageMetrics,
+    message_id=st.text(),
+    condition=st.sampled_from(Condition),
+    correctness=finite,
+    fkgl=finite,
+    faithfulness=st.none() | finite,
+)
+
+
+class TestMetricsRecord:
+    @given(message_metrics)
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_through_json(self, metrics):
+        text = json.dumps(metrics_to_record(metrics), sort_keys=True, ensure_ascii=False)
+        assert metrics_from_record(json.loads(text)) == metrics

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import json
 import string
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scamlens.attribution import EvidenceSet
 from scamlens.corpus import FormattedText
@@ -14,6 +17,7 @@ from scamlens.generation import (
     ConditionMismatchError,
     EmptyCompletionError,
     EVIDENCE_HEADER,
+    Explanation,
     GeneratorKind,
     LlmClientConfig,
     MockStyle,
@@ -22,6 +26,8 @@ from scamlens.generation import (
     TransportTimeoutError,
     build_prompt,
     evidence_phrases_from_prompt,
+    explanation_from_record,
+    explanation_to_record,
     generate,
     generate_many,
     mock_generate,
@@ -281,3 +287,32 @@ class TestRemoteClient:
         out = generate_many(client_config(stub_server.url), prompts, max_in_flight=4)
         assert [e.message_id for e in out] == ["m0", "m1", "m2", "m3"]
         assert [e.text for e in out] == [f"about <SMS> text-{i}" for i in range(4)]
+
+
+explanations = st.builds(
+    Explanation,
+    message_id=st.text(),
+    condition=st.sampled_from(Condition),
+    text=st.text(min_size=1).filter(str.strip),
+    generator=st.sampled_from(GeneratorKind),
+    model_name=st.text(),
+)
+
+
+class TestExplanationRecord:
+    @given(explanations)
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_through_json(self, explanation):
+        text = json.dumps(explanation_to_record(explanation), sort_keys=True, ensure_ascii=False)
+        assert explanation_from_record(json.loads(text)) == explanation
+
+    def test_unknown_condition_rejected(self):
+        record = {
+            "message_id": "m1",
+            "condition": "no_such_condition",
+            "text": "A scam.",
+            "generator": "mock",
+            "model_name": "m",
+        }
+        with pytest.raises(ValueError):
+            explanation_from_record(record)
