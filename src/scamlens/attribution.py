@@ -8,17 +8,14 @@ by raw score means negatively attributed words sort to the bottom.
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
-from typing import AbstractSet, Any, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
 from . import lexicon
 from .corpus import MARKER_TOKENS
 from .detector import DetectorModel, TokenizedInput, embed, grad_wrt_pooled, logit_from_embeddings
-
-DEFAULT_EVIDENCE_K = 8
 
 # Samples are evaluated in bounded batches to keep the noise draws from
 # dominating memory on long inputs.
@@ -33,7 +30,7 @@ class ModelNotFrozenError(AttributionError):
     """Attribution requires a frozen model so scores are stable."""
 
 
-class ZeroSamplesError(AttributionError):
+class ZeroSamplesError(AttributionError, ValueError):
     """The sample count must be at least one."""
 
 
@@ -46,10 +43,15 @@ class AttributionConfig:
     n_samples: int = 64
     noise_std: float = 0.01
     seed: int = 0
+    k: int = 8  # evidence phrases kept per message
 
     def __post_init__(self) -> None:
+        if self.n_samples < 1:
+            raise ZeroSamplesError("n_samples must be >= 1")
         if self.noise_std < 0:
             raise ValueError("noise_std must be non-negative")
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,6 @@ def gradient_shap(
     """
     if not model.frozen:
         raise ModelNotFrozenError("gradient_shap requires a frozen model")
-    if config.n_samples < 1:
-        raise ZeroSamplesError("n_samples must be >= 1")
 
     x = embed(model, tokenized)  # (n, d)
     n, d = x.shape
@@ -166,11 +166,7 @@ def aggregate_to_words(sub: SubwordAttribution, tokenized: TokenizedInput) -> Wo
     return WordAttribution(scores=scores, words=tokenized.words)
 
 
-def filter_evidence(
-    words: WordAttribution,
-    stopwords: AbstractSet[str] = lexicon.STOPWORDS,
-    k: int = DEFAULT_EVIDENCE_K,
-) -> EvidenceSet:
+def filter_evidence(words: WordAttribution, k: int) -> EvidenceSet:
     """Drop stopwords and channel markers, keep risk tokens, take the top k.
 
     Risk tokens (URL-like, currency, emphatic punctuation) bypass the
@@ -184,7 +180,7 @@ def filter_evidence(
         word = words.words[position]
         if word in MARKER_TOKENS:
             continue
-        if not lexicon.is_risk_token(word) and word.lower().strip(string.punctuation) in stopwords:
+        if not lexicon.is_risk_token(word) and lexicon.is_stopword_surface(word):
             continue
         survivors.append((words.scores[position], position, word))
     survivors.sort(key=lambda item: (-item[0], item[1]))

@@ -51,47 +51,77 @@ def interpolate_env(value: Any) -> Any:
 
 @dataclasses.dataclass
 class RunConfig:
-    """Resolved pipeline configuration with defaults suitable for mock runs."""
+    """Resolved pipeline configuration with defaults suitable for mock runs.
+
+    Stage settings are held in the stage's own config type, which defines
+    their defaults; `train` stays a dict of `detector.TrainConfig` keywords.
+    """
 
     corpus_path: str | None = None
     synth_seed: int = 7
     synth_per_stratum: int = 100
     model_path: str | None = None
     train: dict[str, Any] = dataclasses.field(default_factory=dict)
-    attribution_n_samples: int = 64
-    attribution_noise_std: float = 0.01
-    attribution_seed: int = 0
-    evidence_k: int = attribution.DEFAULT_EVIDENCE_K
-    alpha: float = 0.5
     sample_fraction: float = 0.10
     sample_seed: int = 0
     conditions: tuple[generation.Condition, ...] = evaluation.REPORT_CONDITION_ORDER
-    llm: dict[str, Any] = dataclasses.field(default_factory=dict)
-    nli: dict[str, Any] = dataclasses.field(default_factory=dict)
+    llm: generation.LlmClientConfig | None = None
+    nli: evaluation.NliClientConfig | None = None
     mock_llm: bool = False
     mock_nli: bool = False
     out_dir: str | None = None
     config_sha256: str | None = None
+    # Declared last because these names shadow the modules in the class body.
+    attribution: attribution.AttributionConfig = attribution.AttributionConfig()
+    evaluation: evaluation.EvaluationConfig = evaluation.EvaluationConfig()
 
     def __post_init__(self) -> None:
         if not (0.0 < self.sample_fraction <= 1.0):
             raise ConfigError("sample_fraction must be in (0, 1]")
 
 
-_KNOWN_KEYS = {
-    "corpus_path",
-    "synth",
-    "model_path",
-    "train",
-    "attribution",
-    "evaluation",
-    "sample_fraction",
-    "sample_seed",
-    "conditions",
-    "llm",
-    "nli",
-    "out_dir",
-}
+# Top-level config keys that set the RunConfig field of the same name.
+_PLAIN_KEYS = ("corpus_path", "model_path", "sample_fraction", "sample_seed", "out_dir")
+# Keys of the `synth` section and the RunConfig fields they set.
+_SYNTH_KEYS = {"seed": "synth_seed", "per_channel_per_label": "synth_per_stratum"}
+_KNOWN_KEYS = {*_PLAIN_KEYS, "synth", "train", "attribution", "evaluation", "conditions", "llm", "nli"}
+# Numbers may arrive as strings through ${NAME} interpolation.
+_CASTS: dict[str, Callable[[Any], Any]] = {"int": int, "float": float}
+
+
+def _cast(key: str, value: Any, annotation: str) -> Any:
+    """`value` converted to the field type named by `annotation`, if numeric."""
+    cast = _CASTS.get(annotation)
+    try:
+        return cast(value) if cast else value
+    except (TypeError, ValueError):
+        raise ConfigError(f"config key {key} must be {annotation}, got {value!r}") from None
+
+
+def _section(data: Mapping[str, Any], name: str, types: Mapping[str, str]) -> dict[str, Any]:
+    """Config section `name`, with each key checked against `types`, which
+    maps the section's keys to their type annotations."""
+    section = data.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be a JSON object")
+    unknown = sorted(set(section) - set(types))
+    if unknown:
+        raise ConfigError(f"unknown keys in config section {name!r}: {unknown}")
+    return {key: _cast(f"{name}.{key}", value, types[key]) for key, value in section.items()}
+
+
+def _stage_config(data: Mapping[str, Any], name: str, cls: type, **extra: str) -> Any:
+    """The stage config `cls` built from section `name`, which may also hold
+    the `extra` keys; None while a field without a default is unset."""
+    fields = dataclasses.fields(cls)
+    section = _section(data, name, {**{f.name: str(f.type) for f in fields}, **extra})
+    values = {key: value for key, value in section.items() if key not in extra}
+    if any(f.name not in values for f in fields if f.default is dataclasses.MISSING):
+        return None
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config section {name!r}: {exc}") from None
 
 
 def parse_conditions(names: Sequence[str]) -> tuple[generation.Condition, ...]:
@@ -108,6 +138,8 @@ def parse_conditions(names: Sequence[str]) -> tuple[generation.Condition, ...]:
 
 
 def load_run_config(path: str | Path | None) -> RunConfig:
+    """Parse a JSON config. Every section is checked here, so a misspelt key
+    or an invalid value fails before any stage runs."""
     raw_text = ""
     data: dict[str, Any] = {}
     if path is not None:
@@ -120,34 +152,21 @@ def load_run_config(path: str | Path | None) -> RunConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         data = interpolate_env(parsed)
 
-    synth = data.get("synth", {})
-    attrib = data.get("attribution", {})
-    evaluation_cfg = data.get("evaluation", {})
-    llm = dict(data.get("llm", {}))
-    nli = dict(data.get("nli", {}))
-    mock_llm = bool(llm.pop("mock", False))
-    mock_nli = bool(nli.pop("mock", False))
+    run_types = {f.name: str(f.type) for f in dataclasses.fields(RunConfig)}
+    fields = {key: _cast(key, data[key], run_types[key]) for key in _PLAIN_KEYS if key in data}
+    synth = _section(data, "synth", {key: run_types[f] for key, f in _SYNTH_KEYS.items()})
+    fields.update((_SYNTH_KEYS[key], value) for key, value in synth.items())
+    if "conditions" in data:
+        fields["conditions"] = parse_conditions(data["conditions"])
     return RunConfig(
-        corpus_path=data.get("corpus_path"),
-        synth_seed=int(synth.get("seed", 7)),
-        synth_per_stratum=int(synth.get("per_channel_per_label", 100)),
-        model_path=data.get("model_path"),
-        train=dict(data.get("train", {})),
-        attribution_n_samples=int(attrib.get("n_samples", 64)),
-        attribution_noise_std=float(attrib.get("noise_std", 0.01)),
-        attribution_seed=int(attrib.get("seed", 0)),
-        evidence_k=int(attrib.get("k", attribution.DEFAULT_EVIDENCE_K)),
-        alpha=float(evaluation_cfg.get("alpha", 0.5)),
-        sample_fraction=float(data.get("sample_fraction", 0.10)),
-        sample_seed=int(data.get("sample_seed", 0)),
-        conditions=parse_conditions(
-            data.get("conditions", [c.value for c in evaluation.REPORT_CONDITION_ORDER])
-        ),
-        llm=llm,
-        nli=nli,
-        mock_llm=mock_llm,
-        mock_nli=mock_nli,
-        out_dir=data.get("out_dir"),
+        **fields,
+        train=dataclasses.asdict(_stage_config(data, "train", detector.TrainConfig)),
+        attribution=_stage_config(data, "attribution", attribution.AttributionConfig),
+        evaluation=_stage_config(data, "evaluation", evaluation.EvaluationConfig),
+        llm=_stage_config(data, "llm", generation.LlmClientConfig, mock="bool"),
+        nli=_stage_config(data, "nli", evaluation.NliClientConfig, mock="bool"),
+        mock_llm=bool(data.get("llm", {}).get("mock", False)),
+        mock_nli=bool(data.get("nli", {}).get("mock", False)),
         config_sha256=hashlib.sha256(raw_text.encode("utf-8")).hexdigest() if raw_text else None,
     )
 
@@ -156,7 +175,7 @@ def apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         config.synth_seed = args.seed
         config.sample_seed = args.seed
-        config.attribution_seed = args.seed
+        config.attribution = dataclasses.replace(config.attribution, seed=args.seed)
         config.train = dict(config.train, seed=args.seed)
     if getattr(args, "mock", False):
         config.mock_llm = True
@@ -198,11 +217,11 @@ def _read_records(path: str, parse: Callable[[Mapping[str, Any]], Any]) -> list[
     return parsed
 
 
-def _resolve_out_dir(config: RunConfig) -> Path:
+def _resolve_out_dir(out_dir: str | None) -> Path:
     # Artifacts are immutable: a fresh directory per run. Without an explicit
     # --out, runs land under ./runs with a UTC timestamp.
-    if config.out_dir:
-        out = Path(config.out_dir)
+    if out_dir:
+        out = Path(out_dir)
         if out.exists() and any(out.iterdir()):
             raise ConfigError(f"output directory {out} already exists and is not empty")
     else:
@@ -270,19 +289,14 @@ def _explanation_subset(
 def _compute_evidence(
     config: RunConfig, model: detector.DetectorModel, messages: corpus.MessageSet
 ) -> tuple[list[tuple[corpus.Message, attribution.EvidenceSet]], int]:
-    attrib_config = attribution.AttributionConfig(
-        n_samples=config.attribution_n_samples,
-        noise_std=config.attribution_noise_std,
-        seed=config.attribution_seed,
-    )
     kept: list[tuple[corpus.Message, attribution.EvidenceSet]] = []
     for message in messages:
         tokenized = detector.tokenize(
             corpus.format_input(message), model.vocab, model.piece_limit
         )
-        sub = attribution.gradient_shap(model, tokenized, attrib_config)
+        sub = attribution.gradient_shap(model, tokenized, config.attribution)
         words = attribution.aggregate_to_words(sub, tokenized)
-        evidence = attribution.filter_evidence(words, k=config.evidence_k)
+        evidence = attribution.filter_evidence(words, config.attribution.k)
         if evidence.phrases:
             kept.append((message, evidence))
     return kept, len(messages) - len(kept)
@@ -329,10 +343,9 @@ def _generate_all(
             generation.mock_generate(p, echo if p.condition.wants_evidence else blind)
             for p in prompts
         ]
-    if "base_url" not in config.llm or "model_name" not in config.llm:
+    if config.llm is None:
         raise ConfigError("remote generation needs llm.base_url and llm.model_name, or --mock")
-    llm_config = generation.LlmClientConfig(**config.llm)
-    return generation.generate_many(llm_config, prompts)
+    return generation.generate_many(config.llm, prompts)
 
 
 def _score_all(
@@ -340,24 +353,22 @@ def _score_all(
     explanations: Sequence[generation.Explanation],
     evidence_by_id: Mapping[str, attribution.EvidenceSet],
 ) -> list[evaluation.MessageMetrics]:
-    eval_config = evaluation.EvaluationConfig(alpha=config.alpha)
     if config.mock_nli:
         all_scores = [evaluation.mock_score_nli(e) for e in explanations]
     else:
-        if "base_url" not in config.nli:
+        if config.nli is None:
             raise ConfigError("remote scoring needs nli.base_url, or --mock")
-        nli_config = evaluation.NliClientConfig(**config.nli)
-        all_scores = evaluation.score_nli_many(nli_config, explanations)
+        all_scores = evaluation.score_nli_many(config.nli, explanations)
     metrics = []
     for explanation, scores in zip(explanations, all_scores):
         faith = None
-        if explanation.condition is not generation.Condition.PURE_LLM:
+        if explanation.condition.wants_evidence:
             faith = evaluation.faithfulness(evidence_by_id[explanation.message_id], explanation)
         metrics.append(
             evaluation.MessageMetrics(
                 message_id=explanation.message_id,
                 condition=explanation.condition,
-                correctness=evaluation.correctness(scores, eval_config),
+                correctness=evaluation.correctness(scores, config.evaluation),
                 fkgl=evaluation.fkgl(explanation.text).fkgl,
                 faithfulness=faith,
             )
@@ -382,7 +393,7 @@ def _explain(
         raise ConfigError("every message to explain produced an empty evidence set")
     _write_jsonl(
         out / "evidence.jsonl",
-        (attribution.evidence_to_record(m.id, e, config.attribution_seed) for m, e in with_evidence),
+        (attribution.evidence_to_record(m.id, e, config.attribution.seed) for m, e in with_evidence),
     )
     prompts = _stage("prompts", _build_prompts, config, with_evidence)
     explanations = _stage("generate", _generate_all, config, prompts)
@@ -402,7 +413,6 @@ def _evaluate(
 
 
 def _report(metrics: Sequence[evaluation.MessageMetrics], out: Path) -> str:
-    out.mkdir(parents=True, exist_ok=True)
     grouped: dict[generation.Condition, list[evaluation.MessageMetrics]] = {}
     for m in metrics:
         grouped.setdefault(m.condition, []).append(m)
@@ -414,7 +424,7 @@ def _report(metrics: Sequence[evaluation.MessageMetrics], out: Path) -> str:
 
 
 def run_pipeline(config: RunConfig, allow_train: bool) -> Path:
-    out = _resolve_out_dir(config)
+    out = _resolve_out_dir(config.out_dir)
 
     messages = _stage("corpus", _load_corpus, config)
     corpus.save_jsonl(messages, out / "corpus.jsonl")
@@ -447,7 +457,7 @@ def run_pipeline(config: RunConfig, allow_train: bool) -> Path:
             "synth": config.synth_seed,
             "train": config.train.get("seed", detector.TrainConfig().seed),
             "sample": config.sample_seed,
-            "attribution": config.attribution_seed,
+            "attribution": config.attribution.seed,
         },
         "sample_fraction": config.sample_fraction,
         "conditions": [c.value for c in config.conditions],
@@ -492,18 +502,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    config = apply_overrides(load_run_config(args.config), args)
     messages = corpus.load_jsonl(args.corpus)
-    config = detector.TrainConfig(
-        lr=args.lr,
-        epochs=args.epochs,
-        patience=args.patience,
-        seed=args.seed,
-        d=args.dim,
-        h=args.hidden,
-        val_fraction=args.val_fraction,
-        vocab_size=args.vocab_size,
-    )
-    model = detector.train(messages, config)
+    model = detector.train(messages, detector.TrainConfig(**config.train))
     detector.save_model(model, args.out)
     print(f"trained detector (validation macro F1 {model.val_macro_f1:.4f}) -> {args.out}")
     return 0
@@ -561,7 +562,7 @@ def _cmd_explain_one(args: argparse.Namespace) -> int:
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     config = apply_overrides(load_run_config(args.config), args)
-    out = _resolve_out_dir(config)
+    out = _resolve_out_dir(config.out_dir)
     messages = corpus.load_jsonl(args.corpus)
     model = detector.freeze(detector.load_model(args.model))
     evidence_by_id, dropped, _ = _explain(config, model, messages, out)
@@ -573,6 +574,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = apply_overrides(load_run_config(args.config), args)
     evidence_by_id = dict(_read_records(args.evidence, attribution.evidence_from_record))
     explanations = _read_records(args.explanations, generation.explanation_from_record)
+    wanted = {e.message_id for e in explanations if e.condition.wants_evidence}
+    if missing := sorted(wanted - evidence_by_id.keys()):
+        raise corpus.CorpusError(f"{args.evidence} has no evidence row for message {missing[0]!r}")
     metrics = _evaluate(config, explanations, evidence_by_id, Path(args.out))
     print(f"scored {len(metrics)} explanations to {args.out}")
     return 0
@@ -580,7 +584,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     metrics = _read_records(args.metrics, evaluation.metrics_from_record)
-    print(_report(metrics, Path(args.out)), end="")
+    print(_report(metrics, _resolve_out_dir(args.out)), end="")
     return 0
 
 
@@ -592,11 +596,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     # Options that apply_overrides folds into the run config.
-    run = argparse.ArgumentParser(add_help=False)
-    run.add_argument("--config")
-    run.add_argument("--mock", action="store_true")
-    seeded = argparse.ArgumentParser(add_help=False, parents=[run])
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[configured])
     seeded.add_argument("--seed", type=int)
+    mock = argparse.ArgumentParser(add_help=False)
+    mock.add_argument("--mock", action="store_true")
 
     p = sub.add_parser("ingest", help="normalize raw JSONL records into the corpus format")
     p.add_argument("--in", dest="infile", required=True)
@@ -611,17 +616,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("train", help="train the detector on a corpus")
+    p = sub.add_parser("train", parents=[seeded], help="train the detector on a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lr", type=float, default=detector.TrainConfig().lr)
-    p.add_argument("--epochs", type=int, default=detector.TrainConfig().epochs)
-    p.add_argument("--patience", type=int, default=detector.TrainConfig().patience)
-    p.add_argument("--dim", type=int, default=detector.TrainConfig().d)
-    p.add_argument("--hidden", type=int, default=detector.TrainConfig().h)
-    p.add_argument("--val-fraction", dest="val_fraction", type=float, default=detector.TrainConfig().val_fraction)
-    p.add_argument("--vocab-size", dest="vocab_size", type=int, default=detector.TrainConfig().vocab_size)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="run the detector over a corpus")
@@ -630,14 +627,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("explain", parents=[seeded], help="attribution + generation for a prepared corpus")
+    p = sub.add_parser("explain", parents=[seeded, mock], help="attribution + generation for a prepared corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--conditions")
     p.set_defaults(func=_cmd_explain)
 
-    p = sub.add_parser("evaluate", parents=[run], help="score explanations against evidence")
+    p = sub.add_parser("evaluate", parents=[configured, mock], help="score explanations against evidence")
     p.add_argument("--evidence", required=True)
     p.add_argument("--explanations", required=True)
     p.add_argument("--out", required=True)
@@ -648,13 +645,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("pipeline", parents=[seeded], help="run every stage end to end")
+    p = sub.add_parser("pipeline", parents=[seeded, mock], help="run every stage end to end")
     p.add_argument("--train", action="store_true", help="train the detector if no checkpoint exists")
     p.add_argument("--conditions")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_pipeline)
 
-    p = sub.add_parser("explain-one", parents=[seeded], help="inspect one message end to end")
+    p = sub.add_parser("explain-one", parents=[seeded, mock], help="inspect one message end to end")
     p.add_argument("--text", required=True)
     p.add_argument("--channel", required=True, choices=[c.value for c in corpus.Channel])
     p.add_argument("--subject")

@@ -618,6 +618,7 @@ def load_model(path: str | Path) -> DetectorModel:
         val_macro_f1=payload.get("val_macro_f1"),
         epochs_run=payload.get("epochs_run"),
     )
+    _check_finite(model)
     if payload.get("frozen"):
         model = freeze(model)
     return model

@@ -26,7 +26,7 @@ from typing import Any, Mapping, Sequence
 
 from . import lexicon
 from .attribution import EvidenceSet
-from .generation import Condition, Explanation, post_json_with_retry
+from .generation import MAX_IN_FLIGHT, Condition, Explanation, post_json_with_retry
 
 RISK_HYPOTHESIS = "The explanation identifies cues that support assessing message risk."
 
@@ -219,16 +219,12 @@ def score_nli(config: NliClientConfig, explanation: Explanation) -> NliScores:
     )
 
 
-def score_nli_many(
-    config: NliClientConfig,
-    explanations: Sequence[Explanation],
-    max_in_flight: int = 4,
-) -> list[NliScores]:
+def score_nli_many(config: NliClientConfig, explanations: Sequence[Explanation]) -> list[NliScores]:
     """Bounded-concurrency scoring; results follow input order, never
     completion order. Same transport contract as the generation client."""
     if not explanations:
         return []
-    with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
+    with ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT) as pool:
         futures = [pool.submit(score_nli, config, e) for e in explanations]
         return [future.result() for future in futures]
 

@@ -202,6 +202,9 @@ def evidence_phrases_from_prompt(prompt: Prompt) -> list[str]:
 # Remote client
 # ---------------------------------------------------------------------------
 
+# Concurrent requests per batch, shared by generation and NLI scoring.
+MAX_IN_FLIGHT = 4
+
 
 def post_json_with_retry(
     url: str,
@@ -287,19 +290,14 @@ def generate(config: LlmClientConfig, prompt: Prompt) -> Explanation:
     )
 
 
-def generate_many(
-    config: LlmClientConfig, prompts: Sequence[Prompt], max_in_flight: int = 4
-) -> list[Explanation]:
+def generate_many(config: LlmClientConfig, prompts: Sequence[Prompt]) -> list[Explanation]:
     """Bounded-concurrency generation; output order follows the input prompts,
     never request completion order."""
     if not prompts:
         return []
-    with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
+    with ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT) as pool:
         futures = [pool.submit(generate, config, prompt) for prompt in prompts]
-        results = {}
-        for prompt, future in zip(prompts, futures):
-            results[(prompt.message_id, prompt.condition)] = future.result()
-    return [results[(p.message_id, p.condition)] for p in prompts]
+        return [future.result() for future in futures]
 
 
 # ---------------------------------------------------------------------------

@@ -56,10 +56,7 @@ def pipeline_runs(tmp_path_factory):
             synth_seed=7,
             synth_per_stratum=40,
             train={"seed": 7},
-            attribution_n_samples=64,
-            attribution_noise_std=0.01,
-            attribution_seed=11,
-            evidence_k=8,
+            attribution=AttributionConfig(n_samples=64, noise_std=0.01, seed=11, k=8),
             sample_fraction=0.25,
             sample_seed=5,
             mock_llm=True,

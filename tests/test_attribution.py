@@ -25,7 +25,6 @@ from scamlens.attribution import (
 )
 from scamlens.corpus import format_input
 from scamlens.detector import TokenizedInput, freeze, tokenize
-from scamlens.lexicon import STOPWORDS
 
 
 def frozen_random_model(seed=0, activation="tanh"):
@@ -147,12 +146,12 @@ class TestAggregateToWords:
 class TestFilterEvidence:
     def test_stopword_dropped_content_word_kept(self):
         words = WordAttribution(scores={0: 0.9, 1: 0.5}, words=("the", "urgent"))
-        out = filter_evidence(words, STOPWORDS, k=5)
+        out = filter_evidence(words, k=5)
         assert out.words() == ("urgent",)
 
     def test_currency_token_bypasses_stopword_filter(self):
         words = WordAttribution(scores={0: 0.9, 1: 0.1}, words=("the", "$500"))
-        out = filter_evidence(words, STOPWORDS, k=5)
+        out = filter_evidence(words, k=5)
         assert out.words() == ("$500",)
 
     def test_top_k_by_score(self):
@@ -160,33 +159,33 @@ class TestFilterEvidence:
             scores={0: 0.1, 1: 0.5, 2: 0.3, 3: 0.9, 4: 0.2},
             words=("alpha", "bravo", "charlie", "delta", "echo"),
         )
-        out = filter_evidence(words, STOPWORDS, k=2)
+        out = filter_evidence(words, k=2)
         assert out.words() == ("delta", "bravo")
 
     def test_ties_break_toward_earlier_position(self):
         words = WordAttribution(scores={0: 0.5, 1: 0.5}, words=("bravo", "alpha"))
-        out = filter_evidence(words, STOPWORDS, k=1)
+        out = filter_evidence(words, k=1)
         assert out.words() == ("bravo",)
 
     def test_channel_marker_never_appears(self):
         words = WordAttribution(scores={0: 5.0, 1: 0.1}, words=("<SMS>", "urgent"))
-        out = filter_evidence(words, STOPWORDS, k=5)
+        out = filter_evidence(words, k=5)
         assert out.words() == ("urgent",)
 
     def test_emphatic_stopword_retained(self):
         words = WordAttribution(scores={0: 0.4}, words=("the!!",))
-        out = filter_evidence(words, STOPWORDS, k=5)
+        out = filter_evidence(words, k=5)
         assert out.words() == ("the!!",)
 
     def test_url_like_token_retained(self):
         words = WordAttribution(scores={0: -0.2}, words=("bit.ly/abc12",))
-        out = filter_evidence(words, STOPWORDS, k=3)
+        out = filter_evidence(words, k=3)
         assert out.words() == ("bit.ly/abc12",)
 
     def test_k_must_be_positive(self):
         words = WordAttribution(scores={0: 0.1}, words=("urgent",))
         with pytest.raises(ValueError):
-            filter_evidence(words, STOPWORDS, k=0)
+            filter_evidence(words, k=0)
 
     def test_result_never_exceeds_k(self):
         with pytest.raises(ValueError):
@@ -194,7 +193,7 @@ class TestFilterEvidence:
 
     def test_empty_result_is_legal(self):
         words = WordAttribution(scores={0: 0.9}, words=("the",))
-        out = filter_evidence(words, STOPWORDS, k=5)
+        out = filter_evidence(words, k=5)
         assert out.phrases == ()
 
 
@@ -206,7 +205,7 @@ class TestEndToEndEvidence:
         tok = tokenize(format_input(scam), frozen_model.vocab, frozen_model.piece_limit)
         sub = gradient_shap(frozen_model, tok, AttributionConfig(n_samples=64, seed=0))
         words = aggregate_to_words(sub, tok)
-        evidence = filter_evidence(words, STOPWORDS, k=8)
+        evidence = filter_evidence(words, k=8)
         assert 1 <= len(evidence.phrases) <= 8
         listed = [w for w, _ in evidence.phrases]
         assert all(w in tok.words for w in listed)
@@ -222,7 +221,7 @@ class TestEndToEndEvidence:
         for message in scams:
             tok = tokenize(format_input(message), frozen_model.vocab, frozen_model.piece_limit)
             words = aggregate_to_words(gradient_shap(frozen_model, tok, config), tok)
-            for word, _ in filter_evidence(words, STOPWORDS, k=8).phrases:
+            for word, _ in filter_evidence(words, k=8).phrases:
                 assert word not in MARKER_TOKENS
                 assert is_risk_token(word) or not is_stopword_surface(word)
 

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from scamlens import cli, corpus, detector
+from scamlens.attribution import AttributionConfig
 from scamlens.cli import ConfigError, interpolate_env, load_run_config, parse_conditions
+from scamlens.evaluation import EvaluationConfig
 from scamlens.generation import Condition
 
 ARTIFACTS = (
@@ -86,7 +88,58 @@ class TestConfig:
         path.write_text(json.dumps({"llm": {"mock": True}, "nli": {"mock": True}}))
         config = load_run_config(path)
         assert config.mock_llm and config.mock_nli
-        assert "mock" not in config.llm and "mock" not in config.nli
+        assert config.llm is None and config.nli is None
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("synth", "sed"),
+            ("train", "epoch"),
+            ("attribution", "n_sample"),
+            ("evaluation", "alhpa"),
+            ("llm", "model"),
+            ("nli", "base_ur"),
+        ],
+    )
+    def test_misspelt_section_key_rejected(self, tmp_path, section, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({section: {key: 1}}))
+        with pytest.raises(ConfigError, match=rf"{section}.*{key}"):
+            load_run_config(path)
+
+    @pytest.mark.parametrize(
+        "section, values, key",
+        [
+            ("synth", {"seed": "abc"}, "seed"),
+            ("train", {"val_fraction": 2}, "val_fraction"),
+            ("train", {"epochs": 0}, "epochs"),
+            ("attribution", {"noise_std": -1}, "noise_std"),
+            ("attribution", {"n_samples": 0}, "n_samples"),
+            ("attribution", {"k": 0}, "k"),
+            ("evaluation", {"alpha": 1.5}, "alpha"),
+            ("llm", {"base_url": "http://x", "model_name": "m", "timeout": 0}, "timeout"),
+            ("nli", {"base_url": "http://x", "max_retries": "many"}, "max_retries"),
+        ],
+    )
+    def test_invalid_section_value_rejected(self, tmp_path, section, values, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({section: values}))
+        with pytest.raises(ConfigError, match=rf"{section}.*{key}"):
+            load_run_config(path)
+
+    def test_sections_parse_into_stage_configs(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ATTRIBUTION_SEED", "11")
+        path = tmp_path / "config.json"
+        data = {
+            "attribution": {"n_samples": 3, "k": 5, "seed": "${ATTRIBUTION_SEED}"},
+            "evaluation": {"alpha": 0.9},
+            "train": {"epochs": 3},
+        }
+        path.write_text(json.dumps(data))
+        config = load_run_config(path)
+        assert config.attribution == AttributionConfig(n_samples=3, seed=11, k=5)
+        assert config.evaluation == EvaluationConfig(alpha=0.9)
+        assert detector.TrainConfig(**config.train) == detector.TrainConfig(epochs=3)
 
 
 class TestPipelineCommand:
@@ -134,6 +187,18 @@ class TestPipelineCommand:
         (out / "junk.txt").write_text("x")
         rc = cli.main(["pipeline", "--config", str(config), "--mock", "--train", "--out", str(out)])
         assert rc != 0
+
+    @pytest.mark.parametrize(
+        "overrides", [{"attribution": {"noise_std": -1}}, {"train": {"val_fraction": 2}}]
+    )
+    def test_invalid_config_value_fails_before_out_dir(self, tmp_path, capsys, overrides):
+        config = write_config(tmp_path, **overrides)
+        out = tmp_path / "run"
+        rc = cli.main(["pipeline", "--config", str(config), "--mock", "--train", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_subset_shared_across_conditions(self, tmp_path):
         config = write_config(tmp_path)
@@ -282,6 +347,29 @@ class TestStageCommands:
         record = json.loads(lines[0])
         assert set(record) == {"id", "scam_probability", "logit", "predicted_label"}
 
+    def test_train_reads_config(self, tmp_path, small_corpus, capsys):
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus.save_jsonl(small_corpus, corpus_path)
+        model_path = tmp_path / "model.json"
+        args = ["train", "--corpus", str(corpus_path), "--out", str(model_path)]
+        config = write_config(tmp_path, train={"epochs": 2, "patience": 2})
+        assert cli.main(args + ["--config", str(config)]) == 0
+        assert detector.load_model(model_path).epochs_run <= 2
+
+        model_path.unlink()
+        config = write_config(tmp_path, train={"val_fraction": 2})
+        assert cli.main(args + ["--config", str(config)]) == 1
+        assert "val_fraction" in capsys.readouterr().err
+        assert not model_path.exists()
+
+    def test_train_help_lists_no_train_config_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["train", "--help"])
+        usage = capsys.readouterr().out
+        assert "--config" in usage and "--seed" in usage
+        for flag in ("--lr", "--epochs", "--patience", "--dim", "--hidden", "--val-fraction", "--vocab-size"):
+            assert flag not in usage
+
     def test_explain_command_writes_evidence_and_explanations(
         self, tmp_path, frozen_model, small_corpus
     ):
@@ -419,6 +507,43 @@ class TestStageCommands:
         assert rc != 0
         err = capsys.readouterr().err
         assert str(evidence_path) in err and "record 1" in err
+
+    def test_evaluate_names_missing_evidence_row(self, tmp_path, capsys):
+        evidence_path = tmp_path / "evidence.jsonl"
+        phrases = [{"word": "urgent", "score": 0.5}]
+        evidence_path.write_text(json.dumps({"id": "m1", "phrases": phrases, "k": 8, "seed": 0}) + "\n")
+        explanations_path = tmp_path / "explanations.jsonl"
+        row = {"message_id": "m2", "condition": "xai_only", "text": "Urgent.", "generator": "mock", "model_name": "mock"}
+        explanations_path.write_text(json.dumps(row) + "\n")
+        metrics_path = tmp_path / "metrics.jsonl"
+        rc = cli.main(
+            [
+                "evaluate",
+                "--evidence",
+                str(evidence_path),
+                "--explanations",
+                str(explanations_path),
+                "--out",
+                str(metrics_path),
+                "--mock",
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(evidence_path) in err and "'m2'" in err
+        assert not metrics_path.exists()
+
+    def test_report_refuses_nonempty_out_dir(self, tmp_path, capsys):
+        metrics_path = tmp_path / "metrics.jsonl"
+        row = {"message_id": "m1", "condition": "xai_only", "faithfulness": 1.0, "correctness": 0.5, "fkgl": 3.0}
+        metrics_path.write_text(json.dumps(row) + "\n")
+        out = tmp_path / "report"
+        out.mkdir()
+        (out / "stale.txt").write_text("x")
+        rc = cli.main(["report", "--metrics", str(metrics_path), "--out", str(out)])
+        assert rc == 1
+        assert "not empty" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["stale.txt"]
 
     def test_report_rejects_unknown_condition(self, tmp_path, capsys):
         metrics_path = tmp_path / "metrics.jsonl"

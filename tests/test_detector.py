@@ -343,6 +343,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError):
             load_model(path)
 
+    def test_non_finite_checkpoint_rejected(self, tmp_path, trained_model):
+        import json
+
+        path = tmp_path / "model.json"
+        save_model(trained_model, path)
+        payload = json.loads(path.read_text())
+        payload["out_b"] = float("nan")
+        path.write_text(json.dumps(payload))
+        with pytest.raises(NonFiniteWeightsError):
+            load_model(path)
+
     def test_frozen_state_preserved(self, tmp_path, trained_model):
         path = tmp_path / "model.json"
         save_model(freeze(trained_model), path)

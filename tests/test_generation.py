@@ -284,7 +284,7 @@ class TestRemoteClient:
             )
             for i in range(4)
         ]
-        out = generate_many(client_config(stub_server.url), prompts, max_in_flight=4)
+        out = generate_many(client_config(stub_server.url), prompts)
         assert [e.message_id for e in out] == ["m0", "m1", "m2", "m3"]
         assert [e.text for e in out] == [f"about <SMS> text-{i}" for i in range(4)]
 
