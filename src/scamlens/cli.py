@@ -20,7 +20,7 @@ import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from . import __version__, attribution, corpus, detector, evaluation, generation, lexicon, persona
 
@@ -192,29 +192,10 @@ def apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _write_jsonl(path: Path, records: Iterable[Mapping[str, Any]]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True, ensure_ascii=False))
-            handle.write("\n")
-
-
 def _write_json(path: Path, payload: Mapping[str, Any]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True, ensure_ascii=False)
         handle.write("\n")
-
-
-def _read_records(path: str, parse: Callable[[Mapping[str, Any]], Any]) -> list[Any]:
-    parsed = []
-    for number, record in enumerate(corpus.read_raw_records(path), start=1):
-        try:
-            parsed.append(parse(record))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise corpus.CorpusError(
-                f"{path}: record {number} is malformed ({type(exc).__name__}: {exc})"
-            ) from None
-    return parsed
 
 
 def _resolve_out_dir(out_dir: str | None) -> Path:
@@ -253,16 +234,22 @@ def _load_corpus(config: RunConfig) -> corpus.MessageSet:
     return corpus.synth_corpus(config.synth_seed, config.synth_per_stratum)
 
 
+def _check_generator(config: RunConfig) -> None:
+    if not config.mock_llm and config.llm is None:
+        raise ConfigError("remote generation needs llm.base_url and llm.model_name, or --mock")
+
+
+def _check_scorer(config: RunConfig) -> None:
+    if not config.mock_nli and config.nli is None:
+        raise ConfigError("remote scoring needs nli.base_url, or --mock")
+
+
 def _load_or_train_model(
-    config: RunConfig, messages: corpus.MessageSet, allow_train: bool, out: Path
+    config: RunConfig, messages: corpus.MessageSet, out: Path
 ) -> tuple[detector.DetectorModel, Path]:
     model_path = Path(config.model_path) if config.model_path else out / "model.json"
     if model_path.exists():
         return detector.load_model(model_path), model_path
-    if not allow_train:
-        raise ConfigError(
-            f"model file {model_path} not found; pass --train to fit one from the corpus"
-        )
     model = detector.train(messages, detector.TrainConfig(**config.train))
     detector.save_model(model, model_path)
     return model, model_path
@@ -343,8 +330,6 @@ def _generate_all(
             generation.mock_generate(p, echo if p.condition.wants_evidence else blind)
             for p in prompts
         ]
-    if config.llm is None:
-        raise ConfigError("remote generation needs llm.base_url and llm.model_name, or --mock")
     return generation.generate_many(config.llm, prompts)
 
 
@@ -356,8 +341,6 @@ def _score_all(
     if config.mock_nli:
         all_scores = [evaluation.mock_score_nli(e) for e in explanations]
     else:
-        if config.nli is None:
-            raise ConfigError("remote scoring needs nli.base_url, or --mock")
         all_scores = evaluation.score_nli_many(config.nli, explanations)
     metrics = []
     for explanation, scores in zip(explanations, all_scores):
@@ -380,7 +363,8 @@ def _predict(
     model: detector.DetectorModel, messages: corpus.MessageSet, path: Path
 ) -> dict[str, detector.Prediction]:
     predictions = _stage("predict", detector.predict_set, model, messages)
-    _write_jsonl(path, (detector.prediction_to_record(mid, p) for mid, p in predictions.items()))
+    records = (detector.prediction_to_record(mid, p) for mid, p in predictions.items())
+    corpus.write_jsonl(path, records)
     return predictions
 
 
@@ -391,13 +375,14 @@ def _explain(
     with_evidence, dropped = _stage("attribution", _compute_evidence, config, model, messages)
     if not with_evidence:
         raise ConfigError("every message to explain produced an empty evidence set")
-    _write_jsonl(
+    corpus.write_jsonl(
         out / "evidence.jsonl",
         (attribution.evidence_to_record(m.id, e, config.attribution.seed) for m, e in with_evidence),
     )
     prompts = _stage("prompts", _build_prompts, config, with_evidence)
     explanations = _stage("generate", _generate_all, config, prompts)
-    _write_jsonl(out / "explanations.jsonl", map(generation.explanation_to_record, explanations))
+    records = map(generation.explanation_to_record, explanations)
+    corpus.write_jsonl(out / "explanations.jsonl", records)
     return {message.id: evidence for message, evidence in with_evidence}, dropped, explanations
 
 
@@ -408,7 +393,7 @@ def _evaluate(
     path: Path,
 ) -> list[evaluation.MessageMetrics]:
     metrics = _stage("evaluate", _score_all, config, explanations, evidence_by_id)
-    _write_jsonl(path, map(evaluation.metrics_to_record, metrics))
+    corpus.write_jsonl(path, map(evaluation.metrics_to_record, metrics))
     return metrics
 
 
@@ -424,12 +409,18 @@ def _report(metrics: Sequence[evaluation.MessageMetrics], out: Path) -> str:
 
 
 def run_pipeline(config: RunConfig, allow_train: bool) -> Path:
+    _check_generator(config)
+    _check_scorer(config)
+    if not allow_train and not (config.model_path and Path(config.model_path).exists()):
+        raise ConfigError(
+            f"model_path {config.model_path!r} names no checkpoint; pass --train to fit one"
+        )
     out = _resolve_out_dir(config.out_dir)
 
     messages = _stage("corpus", _load_corpus, config)
     corpus.save_jsonl(messages, out / "corpus.jsonl")
 
-    model, model_path = _stage("model", _load_or_train_model, config, messages, allow_train, out)
+    model, model_path = _stage("model", _load_or_train_model, config, messages, out)
     model = detector.freeze(model)
 
     predictions = _predict(model, messages, out / "predictions.jsonl")
@@ -486,8 +477,7 @@ def run_pipeline(config: RunConfig, allow_train: bool) -> Path:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    records = corpus.read_raw_records(args.infile)
-    message_set = corpus.ingest(records, corpus.Channel(args.channel))
+    message_set = corpus.ingest_jsonl(args.infile, corpus.Channel(args.channel))
     corpus.save_jsonl(message_set, args.out)
     print(f"ingested {len(message_set)} messages to {args.out}")
     return 0
@@ -529,6 +519,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 def _cmd_explain_one(args: argparse.Namespace) -> int:
     config = apply_overrides(load_run_config(args.config), args)
     config.conditions = (_PERSONA_CONDITIONS[args.persona],)
+    _check_generator(config)
     model = detector.freeze(detector.load_model(args.model))
     message = corpus.Message(
         id="adhoc-000000",
@@ -562,6 +553,7 @@ def _cmd_explain_one(args: argparse.Namespace) -> int:
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     config = apply_overrides(load_run_config(args.config), args)
+    _check_generator(config)
     out = _resolve_out_dir(config.out_dir)
     messages = corpus.load_jsonl(args.corpus)
     model = detector.freeze(detector.load_model(args.model))
@@ -572,8 +564,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = apply_overrides(load_run_config(args.config), args)
-    evidence_by_id = dict(_read_records(args.evidence, attribution.evidence_from_record))
-    explanations = _read_records(args.explanations, generation.explanation_from_record)
+    _check_scorer(config)
+    evidence_by_id = dict(corpus.read_jsonl(args.evidence, attribution.evidence_from_record))
+    explanations = corpus.read_jsonl(args.explanations, generation.explanation_from_record)
     wanted = {e.message_id for e in explanations if e.condition.wants_evidence}
     if missing := sorted(wanted - evidence_by_id.keys()):
         raise corpus.CorpusError(f"{args.evidence} has no evidence row for message {missing[0]!r}")
@@ -583,7 +576,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    metrics = _read_records(args.metrics, evaluation.metrics_from_record)
+    metrics = corpus.read_jsonl(args.metrics, evaluation.metrics_from_record)
     print(_report(metrics, _resolve_out_dir(args.out)), end="")
     return 0
 

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 
 class Channel(Enum):
@@ -130,38 +130,21 @@ class MessageSet:
         return out
 
 
-def ingest(records: Sequence[Mapping[str, object]], channel: Channel) -> MessageSet:
-    """Turn raw field-maps into Messages with a uniform channel.
+def ingest(records: Iterable[Mapping[str, Any]], channel: Channel) -> MessageSet:
+    """Turn raw field-maps into Messages on `channel` with `message_from_record`;
+    the source defaults to "ingest"."""
+    return _message_set(map(_raw_parser(channel), records), "ingest")
 
-    Ids are taken from the record when present, otherwise assigned
-    deterministically from record order and source. Subjects are honored for
-    email only and silently dropped elsewhere.
-    """
-    messages = []
-    for i, record in enumerate(records):
-        body = record.get("body")
-        if body is None or not str(body).strip():
-            raise MissingFieldError(f"record {i}: missing body")
-        raw_label = record.get("label")
-        if raw_label is None:
-            raise MissingFieldError(f"record {i}: missing label")
-        label = LABEL_ALIASES.get(str(raw_label).strip().lower())
-        if label is None:
-            raise InvalidLabelError(f"record {i}: cannot map label {raw_label!r}")
-        source = str(record.get("source") or "ingest")
-        message_id = str(record.get("id") or f"{source}:{channel.value}:{i:06d}")
-        subject = record.get("subject") if channel is Channel.EMAIL else None
-        messages.append(
-            Message(
-                id=message_id,
-                channel=channel,
-                body=str(body),
-                label=label,
-                subject=None if subject is None else str(subject),
-                source=source,
-            )
-        )
-    return MessageSet(tuple(messages))
+
+def ingest_jsonl(path: str | Path, channel: Channel) -> MessageSet:
+    """`ingest` over a JSON-lines file of raw field-maps."""
+    return _message_set(read_jsonl(path, _raw_parser(channel)), path)
+
+
+def _raw_parser(channel: Channel) -> Callable[[Mapping[str, Any]], Message]:
+    return lambda r: message_from_record(
+        {**r, "channel": channel.value, "source": r.get("source") or "ingest"}
+    )
 
 
 def format_input(message: Message) -> FormattedText:
@@ -216,12 +199,12 @@ def _is_plain_ascii(ch: str) -> bool:
     return ch.isascii() and (ch.isalnum() or ch in string.punctuation or ch.isspace())
 
 
-def is_mostly_ascii_english(text: str, min_fraction: float = ENGLISH_ASCII_MIN_FRACTION) -> bool:
+def is_mostly_ascii_english(text: str) -> bool:
     """Transparent stand-in for language detection: share of plain-ASCII chars."""
     if not text:
         return False
     ok = sum(1 for ch in text if _is_plain_ascii(ch))
-    return ok / len(text) >= min_fraction
+    return ok / len(text) >= ENGLISH_ASCII_MIN_FRACTION
 
 
 def filter_for_explanation(
@@ -378,7 +361,9 @@ def message_to_record(message: Message) -> dict[str, object]:
     return record
 
 
-def message_from_record(record: Mapping[str, object]) -> Message:
+def message_from_record(record: Mapping[str, Any]) -> Message:
+    """Parse one corpus record. The subject is kept for email only, and a
+    missing id stays empty until `_message_set` assigns one."""
     raw_channel = str(record.get("channel", "")).strip().lower()
     try:
         channel = Channel(raw_channel)
@@ -393,7 +378,7 @@ def message_from_record(record: Mapping[str, object]) -> Message:
     body = record.get("body")
     if body is None or not str(body).strip():
         raise MissingFieldError("record missing body")
-    subject = record.get("subject")
+    subject = record.get("subject") if channel is Channel.EMAIL else None
     return Message(
         id=str(record.get("id") or ""),
         channel=channel,
@@ -404,41 +389,52 @@ def message_from_record(record: Mapping[str, object]) -> Message:
     )
 
 
-def save_jsonl(message_set: MessageSet, path: str | Path) -> None:
+def _message_set(messages: Iterable[Message], origin: str | Path) -> MessageSet:
+    """A message without an id gets `{source}:{channel}:{number}`, numbered
+    from 0 in input order, so ids never depend on the file path. Duplicate
+    ids raise a CorpusError naming `origin`."""
+    numbered = tuple(
+        m if m.id else replace(m, id=f"{m.source}:{m.channel.value}:{number:06d}")
+        for number, m in enumerate(messages)
+    )
+    try:
+        return MessageSet(numbered)
+    except ValueError as exc:
+        raise CorpusError(f"{origin}: {exc}") from None
+
+
+def write_jsonl(path: str | Path, records: Iterable[Mapping[str, Any]]) -> None:
+    """Write one JSON object per line, keys sorted; the only JSON-lines writer."""
     with open(path, "w", encoding="utf-8") as handle:
-        for message in message_set:
-            handle.write(json.dumps(message_to_record(message), sort_keys=True, ensure_ascii=False))
+        for record in records:
+            handle.write(json.dumps(record, sort_keys=True, ensure_ascii=False))
             handle.write("\n")
 
 
+def read_jsonl(path: str | Path, parse: Callable[[Mapping[str, Any]], T]) -> list[T]:
+    """Parse each non-blank line with `parse`; the only JSON-lines reader.
+    Invalid UTF-8 or JSON, a non-object line or a `parse` failure raises a
+    CorpusError naming the file and the line number."""
+    parsed = []
+    with open(path, "rb") as handle:
+        for number, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line.decode("utf-8"))
+                if not isinstance(record, dict):
+                    raise TypeError(f"expected a JSON object, got {type(record).__name__}")
+                parsed.append(parse(record))
+            except (CorpusError, KeyError, TypeError, ValueError) as exc:
+                raise CorpusError(
+                    f"{path}: record {number} is malformed ({type(exc).__name__}: {exc})"
+                ) from None
+    return parsed
+
+
+def save_jsonl(message_set: MessageSet, path: str | Path) -> None:
+    write_jsonl(path, map(message_to_record, message_set))
+
+
 def load_jsonl(path: str | Path) -> MessageSet:
-    messages = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-            message = message_from_record(record)
-            if not message.id:
-                message = replace(message, id=f"{path}:{lineno:06d}")
-            messages.append(message)
-    return MessageSet(tuple(messages))
-
-
-def read_raw_records(path: str | Path) -> list[dict[str, object]]:
-    """Read a JSONL file of raw field-maps without interpreting them."""
-    records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-    return records
+    return _message_set(read_jsonl(path, message_from_record), path)

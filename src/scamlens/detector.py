@@ -81,7 +81,7 @@ class FrozenModelError(DetectorError):
 
 
 class CheckpointFormatError(DetectorError):
-    """Checkpoint file is missing or carries the wrong format header."""
+    """Checkpoint file carries the wrong format header or malformed fields."""
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +121,7 @@ class Vocab:
         return cls(pieces=pieces, index=index, max_piece_len=max_len)
 
 
-def build_vocab(corpus: MessageSet, max_size: int = 2000) -> Vocab:
+def build_vocab(corpus: MessageSet, max_size: int) -> Vocab:
     """Most frequent character n-grams (n in 1..4) plus special pieces.
 
     Every single character seen in the corpus is force-included so
@@ -599,25 +599,30 @@ def save_model(model: DetectorModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> DetectorModel:
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
+    found = payload.get("format") if isinstance(payload, dict) else None
+    if found != CHECKPOINT_FORMAT:
         raise CheckpointFormatError(
-            f"{path}: expected checkpoint format {CHECKPOINT_FORMAT!r}, "
-            f"got {payload.get('format')!r}"
+            f"{path}: expected checkpoint format {CHECKPOINT_FORMAT!r}, got {found!r}"
         )
-    model = DetectorModel(
-        vocab=Vocab.from_pieces(payload["pieces"]),
-        embedding=np.array(payload["embedding"], dtype=np.float64),
-        hidden_w=np.array(payload["hidden_w"], dtype=np.float64),
-        hidden_b=np.array(payload["hidden_b"], dtype=np.float64),
-        out_w=np.array(payload["out_w"], dtype=np.float64),
-        out_b=float(payload["out_b"]),
-        activation=payload["activation"],
-        piece_limit=int(payload["piece_limit"]),
-        seed=int(payload["seed"]),
-        frozen=False,
-        val_macro_f1=payload.get("val_macro_f1"),
-        epochs_run=payload.get("epochs_run"),
-    )
+    try:
+        model = DetectorModel(
+            vocab=Vocab.from_pieces(payload["pieces"]),
+            embedding=np.array(payload["embedding"], dtype=np.float64),
+            hidden_w=np.array(payload["hidden_w"], dtype=np.float64),
+            hidden_b=np.array(payload["hidden_b"], dtype=np.float64),
+            out_w=np.array(payload["out_w"], dtype=np.float64),
+            out_b=float(payload["out_b"]),
+            activation=payload["activation"],
+            piece_limit=int(payload["piece_limit"]),
+            seed=int(payload["seed"]),
+            frozen=False,
+            val_macro_f1=payload.get("val_macro_f1"),
+            epochs_run=payload.get("epochs_run"),
+        )
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise CheckpointFormatError(
+            f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})"
+        ) from None
     _check_finite(model)
     if payload.get("frozen"):
         model = freeze(model)

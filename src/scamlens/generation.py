@@ -217,7 +217,8 @@ def post_json_with_retry(
 ) -> requests.Response:
     """POST with exponential backoff on timeouts, connection errors, 429, and 5xx.
 
-    Non-retryable auth failures (401/403) raise immediately. Shared by the
+    Any other non-2xx status raises at once, naming the status: auth failures
+    (401/403) as AuthError, the rest as TransportError. Shared by the
     chat-completions and entailment clients so both follow one transport
     contract.
     """
@@ -238,6 +239,8 @@ def post_json_with_retry(
                 last_failure = RateLimitedError(f"{url}: rate limited (429)")
             elif response.status_code >= 500:
                 last_failure = TransportError(f"{url}: server error ({response.status_code})")
+            elif not 200 <= response.status_code < 300:
+                raise TransportError(f"{url}: request failed ({response.status_code})")
             else:
                 return response
         if attempt < attempts - 1:

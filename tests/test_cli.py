@@ -269,6 +269,23 @@ class TestPipelineCommand:
         assert manifest["generator"] == "remote"
         assert manifest["nli"] == "remote"
 
+    @pytest.mark.parametrize(
+        "overrides, flags",
+        [
+            ({"llm": {"base_url": "http://x"}, "nli": {"mock": True}}, ["--train"]),
+            ({"llm": {"mock": True}}, ["--train"]),
+            ({"model_path": "nomodel.json"}, ["--mock"]),
+        ],
+    )
+    def test_unusable_setup_fails_before_out_dir(self, tmp_path, capsys, overrides, flags):
+        config = write_config(tmp_path, **overrides)
+        out = tmp_path / "run"
+        rc = cli.main(["pipeline", "--config", str(config), "--out", str(out), *flags])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_remote_pipeline_without_endpoint_config_fails_cleanly(self, tmp_path, capsys):
         config = write_config(tmp_path)
         rc = cli.main(["pipeline", "--config", str(config), "--train", "--out", str(tmp_path / "r")])
@@ -553,6 +570,56 @@ class TestStageCommands:
         assert rc != 0
         err = capsys.readouterr().err
         assert str(metrics_path) in err and "record 1" in err
+
+
+MALFORMED_CORPORA = {
+    "not_an_object": "[1, 2]\n",
+    "missing_label": json.dumps({"id": "m1", "channel": "sms", "body": "win cash"}) + "\n",
+    "duplicate_id": 2 * (json.dumps({"id": "m1", "channel": "sms", "body": "win", "label": "spam"}) + "\n"),
+}
+
+
+class TestMalformedCorpus:
+    def args(self, command, tmp_path, corpus_path, model_path):
+        out = str(tmp_path / "out")
+        return {
+            "predict": ["predict", "--corpus", corpus_path, "--model", model_path, "--out", out],
+            "train": ["train", "--corpus", corpus_path, "--out", out],
+            "sample": ["sample", "--in", corpus_path, "--out", out, "--per-stratum", "1"],
+            "explain": ["explain", "--corpus", corpus_path, "--model", model_path, "--out", out, "--mock"],
+            "pipeline": [
+                "pipeline",
+                "--config",
+                str(write_config(tmp_path, corpus_path=corpus_path)),
+                "--mock",
+                "--train",
+                "--out",
+                out,
+            ],
+        }[command]
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_CORPORA))
+    @pytest.mark.parametrize("command", ["predict", "train", "sample", "explain", "pipeline"])
+    def test_fails_with_one_line_naming_the_file(self, tmp_path, frozen_model, capsys, command, kind):
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text(MALFORMED_CORPORA[kind])
+        model_path = tmp_path / "model.json"
+        detector.save_model(frozen_model, model_path)
+        rc = cli.main(self.args(command, tmp_path, str(corpus_path), str(model_path)))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(corpus_path) in err
+
+    def test_ingest_names_file_and_record_number(self, tmp_path, capsys):
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text(json.dumps({"body": "hi", "label": "ham"}) + "\n" + json.dumps({"body": "hi"}) + "\n")
+        out = tmp_path / "messages.jsonl"
+        rc = cli.main(["ingest", "--in", str(raw), "--channel", "sms", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(raw) in err and "record 2" in err and "label" in err
+        assert not out.exists()
 
 
 class TestExplainOne:

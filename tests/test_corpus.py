@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import string
 
 import pytest
@@ -10,6 +11,7 @@ from scamlens import lexicon
 from scamlens.corpus import (
     EXPLANATION_TOKEN_CAP,
     Channel,
+    CorpusError,
     InsufficientDataError,
     InvalidLabelError,
     Label,
@@ -276,3 +278,48 @@ class TestJsonlRoundTrip:
         path.write_text(record + "\n\n" + record.replace('"a"', '"b"') + "\n")
         loaded = load_jsonl(path)
         assert [m.id for m in loaded] == ["a", "b"]
+
+    def test_idless_corpus_ids_do_not_depend_on_the_path(self, tmp_path):
+        records = [
+            {"channel": "sms", "body": "win cash now", "label": "spam", "source": "feed"},
+            {"channel": "email", "body": "lunch at noon?", "label": "ham"},
+        ]
+        text = "".join(json.dumps(r) + "\n" for r in records)
+        first, second = tmp_path / "a" / "corpus.jsonl", tmp_path / "b" / "other.jsonl"
+        for path in (first, second):
+            path.parent.mkdir()
+            path.write_text(text)
+        ids = [m.id for m in load_jsonl(first)]
+        assert ids == [m.id for m in load_jsonl(second)]
+        assert ids == ["feed:sms:000000", ":email:000001"]
+
+    def test_subject_dropped_outside_email(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        record = {"id": "a", "channel": "sms", "subject": "hey", "body": "text", "label": "ham"}
+        path.write_text(json.dumps(record) + "\n")
+        (message,) = load_jsonl(path)
+        assert message.subject is None
+
+    @pytest.mark.parametrize(
+        "lines, number",
+        [
+            (["[1, 2]"], 1),
+            (['{"id": "a", "channel": "sms", "body": "hi"}'], 1),
+            (["", '{"id": "a", "channel": "sms", "body": "hi", "label": "ham"', ""], 2),
+            (['{"id": "a", "channel": "sms", "body": "caf\xe9", "label": "ham"}'], 1),
+        ],
+    )
+    def test_malformed_record_names_file_and_line(self, tmp_path, lines, number):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes("\n".join(lines).encode("latin-1") + b"\n")
+        with pytest.raises(CorpusError, match=f"record {number} is malformed") as info:
+            load_jsonl(path)
+        assert str(path) in str(info.value)
+
+    def test_duplicate_ids_name_the_file(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        record = '{"id": "a", "channel": "sms", "body": "hi there", "label": "ham"}\n'
+        path.write_text(record * 2)
+        with pytest.raises(CorpusError, match="duplicate message ids") as info:
+            load_jsonl(path)
+        assert str(path) in str(info.value)

@@ -354,6 +354,27 @@ class TestCheckpoint:
         with pytest.raises(NonFiniteWeightsError):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda payload: payload.pop("embedding"),
+            lambda payload: payload.update(activation="relu"),
+            lambda payload: payload.update(out_b="not a number"),
+        ],
+        ids=["missing_embedding", "unknown_activation", "non_numeric_bias"],
+    )
+    def test_malformed_checkpoint_names_the_file(self, tmp_path, trained_model, edit):
+        import json
+
+        path = tmp_path / "model.json"
+        save_model(trained_model, path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointFormatError, match="malformed checkpoint") as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+
     def test_frozen_state_preserved(self, tmp_path, trained_model):
         path = tmp_path / "model.json"
         save_model(freeze(trained_model), path)

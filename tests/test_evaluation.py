@@ -210,6 +210,14 @@ class TestScoreNli:
         with pytest.raises(ProbabilitySumViolationError):
             score_nli(NliClientConfig(base_url=stub_server.url), make_explanation("text"))
 
+    def test_non_retryable_status_is_named_not_retried(self, stub_server):
+        from scamlens.generation import TransportError
+
+        stub_server.script = [{"status": 404, "body": {"error": "no such route"}}]
+        with pytest.raises(TransportError, match="404"):
+            score_nli(NliClientConfig(base_url=stub_server.url), make_explanation("text"))
+        assert len(stub_server.requests) == 1
+
     def test_many_keeps_input_order_under_concurrency(self, stub_server):
         from scamlens.evaluation import score_nli_many
 

@@ -262,6 +262,13 @@ class TestRemoteClient:
         with pytest.raises(TransportError):
             generate(client_config(stub_server.url), prompt)
 
+    def test_non_retryable_status_is_named_not_retried(self, stub_server):
+        stub_server.script = [{"status": 404, "body": {"error": "no such route"}}]
+        prompt = build_prompt(Condition.PURE_LLM, MESSAGE, message_id="m1")
+        with pytest.raises(TransportError, match="404"):
+            generate(client_config(stub_server.url), prompt)
+        assert len(stub_server.requests) == 1
+
     def test_generate_many_keeps_prompt_order(self, stub_server):
         def echo_id(path, body):
             # Return the message id embedded in the user text so ordering is

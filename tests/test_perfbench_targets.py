@@ -1,20 +1,27 @@
-"""The benchmark's span tracer (`perfbench/spans.py`) wraps scamlens functions
-by module and attribute name, and skips a name that no longer exists. A rename
-in `scamlens` would then blank a per-layer metric without any error, so every
-target must still resolve. The tracer module is loaded read-only."""
+"""The benchmark (`perfbench/`) calls scamlens by module and attribute name.
+
+Its span tracer (`perfbench/spans.py`) wraps functions by name and skips a
+name that no longer exists, so a rename in `scamlens` would blank a per-layer
+metric without any error; its input and workload modules
+(`inputs.py`, `workload.py`) would fail only when the benchmark runs. Every
+name they use must therefore still resolve. The benchmark files are read,
+never changed."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_every_span_target_resolves_to_a_scamlens_attribute(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, spans)
     spec.loader.exec_module(spans)
@@ -23,5 +30,36 @@ def test_every_span_target_resolves_to_a_scamlens_attribute(monkeypatch):
         t.name
         for t in spans.TARGETS
         if not callable(getattr(importlib.import_module(f"scamlens.{t.module}"), t.attr, None))
+    ]
+    assert missing == []
+
+
+def _scamlens_attributes(path: Path) -> set[tuple[str, str]]:
+    """(module, attribute) for each `module.attribute` in `path`, where
+    `module` was imported by `from scamlens import module`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "scamlens"
+        for alias in node.names
+    }
+    return {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+
+
+@pytest.mark.parametrize("name", ["inputs.py", "workload.py"])
+def test_every_scamlens_name_the_benchmark_uses_resolves(name):
+    used = _scamlens_attributes(PERFBENCH / name)
+    assert used
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in sorted(used)
+        if not hasattr(importlib.import_module(f"scamlens.{module}"), attr)
     ]
     assert missing == []
