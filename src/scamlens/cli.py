@@ -66,7 +66,7 @@ class RunConfig:
     sample_seed: int = 0
     conditions: tuple[generation.Condition, ...] = evaluation.REPORT_CONDITION_ORDER
     llm: generation.LlmClientConfig | None = None
-    nli: evaluation.NliClientConfig | None = None
+    nli: generation.EndpointConfig | None = None
     mock_llm: bool = False
     mock_nli: bool = False
     out_dir: str | None = None
@@ -90,7 +90,10 @@ _CASTS: dict[str, Callable[[Any], Any]] = {"int": int, "float": float}
 
 
 def _cast(key: str, value: Any, annotation: str) -> Any:
-    """`value` converted to the field type named by `annotation`, if numeric."""
+    """`value` converted to the field type named by `annotation`, if numeric;
+    a "bool" field takes only a JSON boolean."""
+    if annotation == "bool" and not isinstance(value, bool):
+        raise ConfigError(f"config key {key} must be a boolean, got {value!r}")
     cast = _CASTS.get(annotation)
     try:
         return cast(value) if cast else value
@@ -110,16 +113,16 @@ def _section(data: Mapping[str, Any], name: str, types: Mapping[str, str]) -> di
     return {key: _cast(f"{name}.{key}", value, types[key]) for key, value in section.items()}
 
 
-def _stage_config(data: Mapping[str, Any], name: str, cls: type, **extra: str) -> Any:
-    """The stage config `cls` built from section `name`, which may also hold
-    the `extra` keys; None while a field without a default is unset."""
+def _stage_config(data: Mapping[str, Any], name: str, cls: type, **extra: str) -> tuple[Any, dict]:
+    """The stage config `cls` built from section `name` (None while a field
+    without a default is unset) and the section's values of the `extra` keys."""
     fields = dataclasses.fields(cls)
     section = _section(data, name, {**{f.name: str(f.type) for f in fields}, **extra})
-    values = {key: value for key, value in section.items() if key not in extra}
-    if any(f.name not in values for f in fields if f.default is dataclasses.MISSING):
-        return None
+    extras = {key: section.pop(key) for key in extra if key in section}
+    if any(f.name not in section for f in fields if f.default is dataclasses.MISSING):
+        return None, extras
     try:
-        return cls(**values)
+        return cls(**section), extras
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config section {name!r}: {exc}") from None
 
@@ -143,8 +146,11 @@ def load_run_config(path: str | Path | None) -> RunConfig:
     raw_text = ""
     data: dict[str, Any] = {}
     if path is not None:
-        raw_text = Path(path).read_text(encoding="utf-8")
-        parsed = json.loads(raw_text)
+        try:
+            raw_text = Path(path).read_text(encoding="utf-8")
+            parsed = json.loads(raw_text)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"{path}: config is not valid JSON ({exc})") from None
         if not isinstance(parsed, dict):
             raise ConfigError("config document must be a JSON object")
         unknown = set(parsed) - _KNOWN_KEYS
@@ -158,15 +164,17 @@ def load_run_config(path: str | Path | None) -> RunConfig:
     fields.update((_SYNTH_KEYS[key], value) for key, value in synth.items())
     if "conditions" in data:
         fields["conditions"] = parse_conditions(data["conditions"])
+    llm, llm_extra = _stage_config(data, "llm", generation.LlmClientConfig, mock="bool")
+    nli, nli_extra = _stage_config(data, "nli", generation.EndpointConfig, mock="bool")
     return RunConfig(
         **fields,
-        train=dataclasses.asdict(_stage_config(data, "train", detector.TrainConfig)),
-        attribution=_stage_config(data, "attribution", attribution.AttributionConfig),
-        evaluation=_stage_config(data, "evaluation", evaluation.EvaluationConfig),
-        llm=_stage_config(data, "llm", generation.LlmClientConfig, mock="bool"),
-        nli=_stage_config(data, "nli", evaluation.NliClientConfig, mock="bool"),
-        mock_llm=bool(data.get("llm", {}).get("mock", False)),
-        mock_nli=bool(data.get("nli", {}).get("mock", False)),
+        train=dataclasses.asdict(_stage_config(data, "train", detector.TrainConfig)[0]),
+        attribution=_stage_config(data, "attribution", attribution.AttributionConfig)[0],
+        evaluation=_stage_config(data, "evaluation", evaluation.EvaluationConfig)[0],
+        llm=llm,
+        nli=nli,
+        mock_llm=llm_extra.get("mock", False),
+        mock_nli=nli_extra.get("mock", False),
         config_sha256=hashlib.sha256(raw_text.encode("utf-8")).hexdigest() if raw_text else None,
     )
 
@@ -670,7 +678,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         evaluation.EvaluationError,
         persona.UnknownLevelError,
         OSError,
-        json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -172,7 +172,7 @@ def truncate_front(tokens: Sequence[T], limit: int) -> list[T]:
 def stratified_sample(message_set: MessageSet, per_channel_per_label: int, seed: int) -> MessageSet:
     """Select exactly N scam and N ham messages per channel, deterministically."""
     if per_channel_per_label <= 0:
-        raise ValueError("per_channel_per_label must be positive")
+        raise CorpusError(f"per_channel_per_label must be positive, got {per_channel_per_label}")
     rng = random.Random(seed)
     selected: list[int] = []
     present = {m.channel for m in message_set}

@@ -598,7 +598,10 @@ def save_model(model: DetectorModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> DetectorModel:
     with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointFormatError(f"{path}: checkpoint is not valid JSON ({exc})") from None
     found = payload.get("format") if isinstance(payload, dict) else None
     if found != CHECKPOINT_FORMAT:
         raise CheckpointFormatError(

@@ -16,17 +16,15 @@ standard deviation per condition in the shape of a four-row results table.
 
 from __future__ import annotations
 
-import os
 import re
 import string
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from statistics import mean, stdev
 from typing import Any, Mapping, Sequence
 
 from . import lexicon
 from .attribution import EvidenceSet
-from .generation import MAX_IN_FLIGHT, Condition, Explanation, post_json_with_retry
+from .generation import Condition, EndpointConfig, Explanation, post_json_with_retry, run_batch
 
 RISK_HYPOTHESIS = "The explanation identifies cues that support assessing message risk."
 
@@ -182,32 +180,10 @@ class NliScores:
                 raise ProbabilitySumViolationError(f"probability {p!r} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class NliClientConfig:
-    base_url: str
-    api_key_env_var: str | None = None
-    timeout: float = 30.0
-    max_retries: int = 3
-    backoff_base: float = 0.5
-
-
-def score_nli(config: NliClientConfig, explanation: Explanation) -> NliScores:
+def score_nli(config: EndpointConfig, explanation: Explanation) -> NliScores:
     """Score one explanation against the risk hypothesis over HTTP."""
-    headers = {}
-    if config.api_key_env_var:
-        key = os.environ.get(config.api_key_env_var, "")
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-    url = config.base_url.rstrip("/") + "/nli"
-    response = post_json_with_retry(
-        url,
-        {"premise": explanation.text, "hypothesis": RISK_HYPOTHESIS},
-        headers,
-        timeout=config.timeout,
-        max_retries=config.max_retries,
-        backoff_base=config.backoff_base,
-    )
-    body = response.json()
+    payload = {"premise": explanation.text, "hypothesis": RISK_HYPOTHESIS}
+    url, body = post_json_with_retry(config, "/nli", payload)
     try:
         entailment = float(body["entailment"])
         neutral = float(body["neutral"])
@@ -219,14 +195,9 @@ def score_nli(config: NliClientConfig, explanation: Explanation) -> NliScores:
     )
 
 
-def score_nli_many(config: NliClientConfig, explanations: Sequence[Explanation]) -> list[NliScores]:
-    """Bounded-concurrency scoring; results follow input order, never
-    completion order. Same transport contract as the generation client."""
-    if not explanations:
-        return []
-    with ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT) as pool:
-        futures = [pool.submit(score_nli, config, e) for e in explanations]
-        return [future.result() for future in futures]
+def score_nli_many(config: EndpointConfig, explanations: Sequence[Explanation]) -> list[NliScores]:
+    """Scores for `explanations`, in input order (see `generation.run_batch`)."""
+    return run_batch(score_nli, config, explanations)
 
 
 # Fixed simplex points for the offline scorer, keyed by how many distinct

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 import requests
 
@@ -112,12 +112,12 @@ def explanation_from_record(record: Mapping[str, Any]) -> Explanation:
 
 
 @dataclass(frozen=True)
-class LlmClientConfig:
+class EndpointConfig:
+    """A remote model endpoint. With `api_key_env_var` set, its variable must
+    hold the bearer token; with None, no Authorization header is sent."""
+
     base_url: str
-    model_name: str
-    api_key_env_var: str = "SCAMLENS_LLM_API_KEY"
-    temperature: float = 0.2
-    max_tokens: int = 400
+    api_key_env_var: str | None = None
     timeout: float = 30.0
     max_retries: int = 3
     backoff_base: float = 0.5
@@ -127,6 +127,17 @@ class LlmClientConfig:
             raise ValueError("max_retries must be >= 0")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
+
+
+@dataclass(frozen=True, kw_only=True)
+class LlmClientConfig(EndpointConfig):
+    """A chat-completions endpoint; keyword-only, because `model_name` has no
+    default and follows fields that have one."""
+
+    model_name: str
+    api_key_env_var: str | None = "SCAMLENS_LLM_API_KEY"
+    temperature: float = 0.2
+    max_tokens: int = 400
 
 
 EVIDENCE_HEADER = "Detector evidence terms (most important first):"
@@ -205,30 +216,35 @@ def evidence_phrases_from_prompt(prompt: Prompt) -> list[str]:
 # Concurrent requests per batch, shared by generation and NLI scoring.
 MAX_IN_FLIGHT = 4
 
+_Item = TypeVar("_Item")
+_Result = TypeVar("_Result")
+
 
 def post_json_with_retry(
-    url: str,
-    payload: dict[str, Any],
-    headers: dict[str, str],
-    *,
-    timeout: float,
-    max_retries: int,
-    backoff_base: float,
-) -> requests.Response:
-    """POST with exponential backoff on timeouts, connection errors, 429, and 5xx.
+    config: EndpointConfig, path: str, payload: dict[str, Any]
+) -> tuple[str, Any]:
+    """POST `payload` to `path` under the endpoint; returns the URL and the
+    decoded JSON body. The one request path of both remote clients.
 
-    Any other non-2xx status raises at once, naming the status: auth failures
-    (401/403) as AuthError, the rest as TransportError. Shared by the
-    chat-completions and entailment clients so both follow one transport
-    contract.
+    Timeouts, connection errors, 429 and 5xx are retried with exponential
+    backoff. Any other non-2xx status raises at once, naming the status: auth
+    failures (401/403) as AuthError, the rest as TransportError. Every failure
+    is a TransportError that names the URL.
     """
-    attempts = max_retries + 1
-    last_failure: Exception | None = None
+    url = config.base_url.rstrip("/") + path
+    headers = {}
+    if config.api_key_env_var is not None:
+        key = os.environ.get(config.api_key_env_var, "")
+        if not key:
+            raise AuthError(f"{url}: environment variable {config.api_key_env_var} is not set")
+        headers["Authorization"] = f"Bearer {key}"
+    attempts = config.max_retries + 1
+    last_failure: TransportError | None = None
     for attempt in range(attempts):
         try:
-            response = requests.post(url, json=payload, headers=headers, timeout=timeout)
+            response = requests.post(url, json=payload, headers=headers, timeout=config.timeout)
         except requests.Timeout as exc:
-            last_failure = TransportTimeoutError(f"{url}: timed out after {timeout}s")
+            last_failure = TransportTimeoutError(f"{url}: timed out after {config.timeout}s")
             last_failure.__cause__ = exc
         except requests.ConnectionError as exc:
             last_failure = TransportError(f"{url}: connection failed ({exc})")
@@ -242,24 +258,37 @@ def post_json_with_retry(
             elif not 200 <= response.status_code < 300:
                 raise TransportError(f"{url}: request failed ({response.status_code})")
             else:
-                return response
+                try:
+                    return url, response.json()
+                except ValueError as exc:
+                    raise TransportError(f"{url}: response body is not JSON ({exc})") from None
         if attempt < attempts - 1:
-            time.sleep(backoff_base * (2**attempt))
+            time.sleep(config.backoff_base * (2**attempt))
     assert last_failure is not None
     raise last_failure
 
 
-def _resolve_api_key(config: LlmClientConfig) -> str:
-    key = os.environ.get(config.api_key_env_var, "")
-    if not key:
-        raise AuthError(f"environment variable {config.api_key_env_var} is not set")
-    return key
+def run_batch(
+    call: Callable[[Any, _Item], _Result], config: EndpointConfig, items: Sequence[_Item]
+) -> list[_Result]:
+    """`call(config, item)` for every item, at most MAX_IN_FLIGHT at a time.
+
+    Results follow input order, never completion order. The first failure
+    cancels every call that has not started and is raised once the running
+    calls finish, so a rejected key does not send the rest of the batch.
+    """
+    with ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT) as pool:
+        futures = [pool.submit(call, config, item) for item in items]
+        _, not_done = wait(futures, return_when=FIRST_EXCEPTION)
+        for future in not_done:
+            future.cancel()
+        # The pool starts calls in input order, so every cancelled call comes
+        # after the failed one, and reading in order raises a failure first.
+        return [future.result() for future in futures]
 
 
 def generate(config: LlmClientConfig, prompt: Prompt) -> Explanation:
     """One chat-completion request for one prompt."""
-    key = _resolve_api_key(config)
-    url = config.base_url.rstrip("/") + "/chat/completions"
     payload = {
         "model": config.model_name,
         "messages": [
@@ -269,18 +298,10 @@ def generate(config: LlmClientConfig, prompt: Prompt) -> Explanation:
         "temperature": config.temperature,
         "max_tokens": config.max_tokens,
     }
-    response = post_json_with_retry(
-        url,
-        payload,
-        {"Authorization": f"Bearer {key}"},
-        timeout=config.timeout,
-        max_retries=config.max_retries,
-        backoff_base=config.backoff_base,
-    )
+    url, body = post_json_with_retry(config, "/chat/completions", payload)
     try:
-        body = response.json()
         text = body["choices"][0]["message"]["content"]
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError) as exc:
         raise TransportError(f"{url}: malformed completion response ({exc})") from None
     if not isinstance(text, str) or not text.strip():
         raise EmptyCompletionError(f"{url}: endpoint returned an empty completion")
@@ -294,13 +315,8 @@ def generate(config: LlmClientConfig, prompt: Prompt) -> Explanation:
 
 
 def generate_many(config: LlmClientConfig, prompts: Sequence[Prompt]) -> list[Explanation]:
-    """Bounded-concurrency generation; output order follows the input prompts,
-    never request completion order."""
-    if not prompts:
-        return []
-    with ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT) as pool:
-        futures = [pool.submit(generate, config, prompt) for prompt in prompts]
-        return [future.result() for future in futures]
+    """Explanations for `prompts`, in prompt order (see `run_batch`)."""
+    return run_batch(generate, config, prompts)
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,8 @@ class ScriptedServer:
     """Local HTTP server that answers POSTs from a scripted response list.
 
     Each script entry is a dict with optional keys: status (default 200),
-    body (dict or callable(path, request_body) -> dict), delay (seconds).
+    body (dict or callable(path, request_body) -> dict), raw (bytes sent
+    as the body in place of `body`), delay (seconds).
     The last entry repeats once the script is exhausted. Every request is
     recorded as (path, headers, parsed body).
     """
@@ -95,7 +96,7 @@ class ScriptedServer:
                 payload = entry.get("body", {})
                 if callable(payload):
                     payload = payload(self.path, body)
-                data = json.dumps(payload).encode("utf-8")
+                data = entry["raw"] if "raw" in entry else json.dumps(payload).encode("utf-8")
                 try:
                     self.send_response(entry.get("status", 200))
                     self.send_header("Content-Type", "application/json")

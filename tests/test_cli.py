@@ -119,6 +119,10 @@ class TestConfig:
             ("evaluation", {"alpha": 1.5}, "alpha"),
             ("llm", {"base_url": "http://x", "model_name": "m", "timeout": 0}, "timeout"),
             ("nli", {"base_url": "http://x", "max_retries": "many"}, "max_retries"),
+            ("nli", {"base_url": "http://x", "max_retries": -1}, "max_retries"),
+            ("nli", {"base_url": "http://x", "timeout": 0}, "timeout"),
+            ("llm", {"mock": "false"}, "mock"),
+            ("nli", {"mock": 1}, "mock"),
         ],
     )
     def test_invalid_section_value_rejected(self, tmp_path, section, values, key):
@@ -189,7 +193,13 @@ class TestPipelineCommand:
         assert rc != 0
 
     @pytest.mark.parametrize(
-        "overrides", [{"attribution": {"noise_std": -1}}, {"train": {"val_fraction": 2}}]
+        "overrides",
+        [
+            {"attribution": {"noise_std": -1}},
+            {"train": {"val_fraction": 2}},
+            {"nli": {"base_url": "http://x", "max_retries": -1}},
+            {"nli": {"base_url": "http://x", "timeout": 0}},
+        ],
     )
     def test_invalid_config_value_fails_before_out_dir(self, tmp_path, capsys, overrides):
         config = write_config(tmp_path, **overrides)
@@ -336,6 +346,32 @@ class TestStageCommands:
         ) == 0
         out = corpus.load_jsonl(sampled)
         assert out.counts() == {corpus.Channel.SMS: (2, 2)}
+
+    def test_sample_rejects_a_non_positive_count(self, tmp_path, small_corpus, capsys):
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus.save_jsonl(small_corpus, corpus_path)
+        out = tmp_path / "sampled.jsonl"
+        rc = cli.main(["sample", "--in", str(corpus_path), "--out", str(out), "--per-stratum", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["model", "config"])
+    def test_invalid_json_names_the_file(self, tmp_path, small_corpus, capsys, bad):
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text("not json")
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus.save_jsonl(small_corpus, corpus_path)
+        out = str(tmp_path / "out")
+        args = {
+            "model": ["predict", "--corpus", str(corpus_path), "--model", str(bad_path), "--out", out],
+            "config": ["pipeline", "--config", str(bad_path), "--mock", "--train", "--out", out],
+        }[bad]
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad_path) in err
 
     def test_train_and_predict_commands(self, tmp_path, small_corpus):
         corpus_path = tmp_path / "corpus.jsonl"

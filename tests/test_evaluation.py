@@ -18,7 +18,6 @@ from scamlens.evaluation import (
     EvaluationConfig,
     ExplanationTokens,
     MessageMetrics,
-    NliClientConfig,
     NliScores,
     NoLettersError,
     ProbabilitySumViolationError,
@@ -38,7 +37,7 @@ from scamlens.evaluation import (
     score_nli,
     split_sentences,
 )
-from scamlens.generation import Condition, Explanation, GeneratorKind
+from scamlens.generation import Condition, EndpointConfig, Explanation, GeneratorKind
 
 
 def make_explanation(text, condition=Condition.XAI_ONLY, mid="m1"):
@@ -197,10 +196,11 @@ class TestScoreNli:
         stub_server.script = [
             {"status": 200, "body": {"entailment": 0.7, "neutral": 0.2, "contradiction": 0.1}}
         ]
-        scores = score_nli(NliClientConfig(base_url=stub_server.url), make_explanation("text here"))
+        scores = score_nli(EndpointConfig(base_url=stub_server.url), make_explanation("text here"))
         assert scores == NliScores(0.7, 0.2, 0.1)
-        path, _, body = stub_server.requests[0]
+        path, headers, body = stub_server.requests[0]
         assert path == "/nli"
+        assert "Authorization" not in headers
         assert body == {"premise": "text here", "hypothesis": RISK_HYPOTHESIS}
 
     def test_endpoint_sum_violation_raises(self, stub_server):
@@ -208,15 +208,40 @@ class TestScoreNli:
             {"status": 200, "body": {"entailment": 0.7, "neutral": 0.7, "contradiction": 0.1}}
         ]
         with pytest.raises(ProbabilitySumViolationError):
-            score_nli(NliClientConfig(base_url=stub_server.url), make_explanation("text"))
+            score_nli(EndpointConfig(base_url=stub_server.url), make_explanation("text"))
 
     def test_non_retryable_status_is_named_not_retried(self, stub_server):
         from scamlens.generation import TransportError
 
         stub_server.script = [{"status": 404, "body": {"error": "no such route"}}]
         with pytest.raises(TransportError, match="404"):
-            score_nli(NliClientConfig(base_url=stub_server.url), make_explanation("text"))
+            score_nli(EndpointConfig(base_url=stub_server.url), make_explanation("text"))
         assert len(stub_server.requests) == 1
+
+    def test_non_json_body_raises_transport_error_naming_the_url(self, stub_server):
+        from scamlens.generation import TransportError
+
+        stub_server.script = [{"status": 200, "raw": b"<html>not json</html>"}]
+        with pytest.raises(TransportError, match=f"{stub_server.url}/nli"):
+            score_nli(EndpointConfig(base_url=stub_server.url), make_explanation("text"))
+
+    def test_configured_but_unset_key_fails_before_any_request(self, stub_server, monkeypatch):
+        from scamlens.generation import AuthError
+
+        monkeypatch.delenv("TEST_NLI_KEY", raising=False)
+        config = EndpointConfig(base_url=stub_server.url, api_key_env_var="TEST_NLI_KEY")
+        with pytest.raises(AuthError, match="TEST_NLI_KEY"):
+            score_nli(config, make_explanation("text"))
+        assert stub_server.requests == []
+
+    def test_configured_key_is_sent_as_bearer_token(self, stub_server, monkeypatch):
+        monkeypatch.setenv("TEST_NLI_KEY", "nli-token")
+        stub_server.script = [
+            {"status": 200, "body": {"entailment": 0.7, "neutral": 0.2, "contradiction": 0.1}}
+        ]
+        config = EndpointConfig(base_url=stub_server.url, api_key_env_var="TEST_NLI_KEY")
+        score_nli(config, make_explanation("text"))
+        assert stub_server.requests[0][1]["Authorization"] == "Bearer nli-token"
 
     def test_many_keeps_input_order_under_concurrency(self, stub_server):
         from scamlens.evaluation import score_nli_many
@@ -238,7 +263,7 @@ class TestScoreNli:
             {"status": 200, "body": respond},
         ]
         explanations = [make_explanation(f"p{i}", mid=f"m{i}") for i in range(4)]
-        results = score_nli_many(NliClientConfig(base_url=stub_server.url), explanations)
+        results = score_nli_many(EndpointConfig(base_url=stub_server.url), explanations)
         assert [r.p_entailment for r in results] == pytest.approx([0.1, 0.2, 0.3, 0.4])
 
 

@@ -20,6 +20,7 @@ from scamlens.generation import (
     Explanation,
     GeneratorKind,
     LlmClientConfig,
+    MAX_IN_FLIGHT,
     MockStyle,
     RateLimitedError,
     TransportError,
@@ -262,6 +263,12 @@ class TestRemoteClient:
         with pytest.raises(TransportError):
             generate(client_config(stub_server.url), prompt)
 
+    def test_no_key_variable_sends_no_authorization_header(self, stub_server):
+        stub_server.script = [{"status": 200, "body": self._completion()}]
+        prompt = build_prompt(Condition.PURE_LLM, MESSAGE, message_id="m1")
+        generate(client_config(stub_server.url, api_key_env_var=None), prompt)
+        assert "Authorization" not in stub_server.requests[0][1]
+
     def test_non_retryable_status_is_named_not_retried(self, stub_server):
         stub_server.script = [{"status": 404, "body": {"error": "no such route"}}]
         prompt = build_prompt(Condition.PURE_LLM, MESSAGE, message_id="m1")
@@ -294,6 +301,15 @@ class TestRemoteClient:
         out = generate_many(client_config(stub_server.url), prompts)
         assert [e.message_id for e in out] == ["m0", "m1", "m2", "m3"]
         assert [e.text for e in out] == [f"about <SMS> text-{i}" for i in range(4)]
+
+    def test_generate_many_stops_at_the_first_auth_failure(self, stub_server):
+        stub_server.script = [{"status": 401, "body": {}, "delay": 0.05}]
+        prompts = [
+            build_prompt(Condition.PURE_LLM, MESSAGE, message_id=f"m{i}") for i in range(40)
+        ]
+        with pytest.raises(AuthError):
+            generate_many(client_config(stub_server.url), prompts)
+        assert len(stub_server.requests) <= 2 * MAX_IN_FLIGHT
 
 
 explanations = st.builds(
