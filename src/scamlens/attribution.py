@@ -15,11 +15,7 @@ import numpy as np
 
 from . import lexicon
 from .corpus import MARKER_TOKENS
-from .detector import DetectorModel, TokenizedInput, embed, grad_wrt_pooled, logit_from_embeddings
-
-# Samples are evaluated in bounded batches to keep the noise draws from
-# dominating memory on long inputs.
-_SAMPLE_CHUNK = 256
+from .detector import DetectorModel, TokenizedInput, embed, grad_wrt_pooled, logits_from_pooled
 
 
 class AttributionError(Exception):
@@ -104,11 +100,15 @@ def gradient_shap(
 ) -> SubwordAttribution:
     """Expected gradients of the scam logit against the all-PAD baseline.
 
-    Each sample draws an interpolation coefficient uniform in [0, 1) and
-    Gaussian noise per embedding coordinate, evaluates the gradient at
-    baseline + alpha * (input - baseline) + noise, and averages
-    (input - baseline) * gradient over samples. Per-piece scores sum the
-    embedding coordinates. Pure function of (weights, input, config).
+    Each sample draws an interpolation coefficient alpha uniform in [0, 1)
+    and evaluates the gradient at baseline + alpha * (input - baseline) plus
+    Gaussian noise of standard deviation noise_std per embedding coordinate,
+    then averages (input - baseline) * gradient over samples. The logit sees
+    the embeddings only through their mean over the n positions, so the
+    noise is drawn on that mean directly, with standard deviation
+    noise_std / sqrt(n): the distribution of the mean of n per-position
+    draws. Per-piece scores sum the embedding coordinates. Pure function of
+    (weights, input, config).
     """
     if not model.frozen:
         raise ModelNotFrozenError("gradient_shap requires a frozen model")
@@ -117,26 +117,12 @@ def gradient_shap(
     n, d = x.shape
     baseline_row = model.embedding[model.vocab.pad_id]
     diff = x - baseline_row  # broadcasts the PAD row across positions
-    pooled_x = x.mean(axis=0)
-    pooled_baseline = baseline_row
 
     rng = np.random.default_rng(config.seed)
-    grad_sum = np.zeros(d)
-    remaining = config.n_samples
-    while remaining > 0:
-        chunk = min(_SAMPLE_CHUNK, remaining)
-        alphas = rng.uniform(0.0, 1.0, size=chunk)
-        noise = rng.normal(0.0, config.noise_std, size=(chunk, n, d))
-        # The logit depends on the embeddings only through their mean, so
-        # each sample point reduces to a pooled vector.
-        pooled = (
-            pooled_baseline
-            + alphas[:, None] * (pooled_x - pooled_baseline)
-            + noise.mean(axis=1)
-        )
-        grad_sum += grad_wrt_pooled(model, pooled).sum(axis=0)
-        remaining -= chunk
-    mean_grad = grad_sum / config.n_samples
+    alphas = rng.uniform(0.0, 1.0, size=config.n_samples)
+    noise = rng.normal(0.0, config.noise_std / np.sqrt(n), size=(config.n_samples, d))
+    pooled = baseline_row + alphas[:, None] * (x.mean(axis=0) - baseline_row) + noise
+    mean_grad = grad_wrt_pooled(model, pooled).mean(axis=0)
 
     # Every position sees the pooled gradient scaled by 1/n.
     attribution = diff * (mean_grad / n)
@@ -149,9 +135,9 @@ def completeness_gap(
 ) -> float:
     """|sum of piece scores - (logit(input) - logit(baseline))|."""
     x = embed(model, tokenized)
-    baseline = np.tile(model.embedding[model.vocab.pad_id], (x.shape[0], 1))
-    target = logit_from_embeddings(model, x) - logit_from_embeddings(model, baseline)
-    return abs(sum(attribution.scores) - target)
+    pooled = np.stack([x.mean(axis=0), model.embedding[model.vocab.pad_id]])
+    logit_input, logit_baseline = logits_from_pooled(model, pooled)
+    return abs(sum(attribution.scores) - float(logit_input - logit_baseline))
 
 
 def aggregate_to_words(sub: SubwordAttribution, tokenized: TokenizedInput) -> WordAttribution:

@@ -85,15 +85,23 @@ _PLAIN_KEYS = ("corpus_path", "model_path", "sample_fraction", "sample_seed", "o
 # Keys of the `synth` section and the RunConfig fields they set.
 _SYNTH_KEYS = {"seed": "synth_seed", "per_channel_per_label": "synth_per_stratum"}
 _KNOWN_KEYS = {*_PLAIN_KEYS, "synth", "train", "attribution", "evaluation", "conditions", "llm", "nli"}
-# Numbers may arrive as strings through ${NAME} interpolation.
+# Numbers may arrive as strings through ${NAME} interpolation, so they are
+# converted; booleans and strings must arrive as their own JSON type.
 _CASTS: dict[str, Callable[[Any], Any]] = {"int": int, "float": float}
+_JSON_TYPES: dict[str, tuple[type, ...]] = {
+    "bool": (bool,),
+    "str": (str,),
+    "str | None": (str, type(None)),
+}
 
 
 def _cast(key: str, value: Any, annotation: str) -> Any:
-    """`value` converted to the field type named by `annotation`, if numeric;
-    a "bool" field takes only a JSON boolean."""
-    if annotation == "bool" and not isinstance(value, bool):
-        raise ConfigError(f"config key {key} must be a boolean, got {value!r}")
+    """`value` converted to the field type named by `annotation` if numeric,
+    else checked against it: a "bool" field takes only a JSON boolean, a
+    "str" field only a string, and a "str | None" field a string or null."""
+    json_types = _JSON_TYPES.get(annotation)
+    if json_types is not None and not isinstance(value, json_types):
+        raise ConfigError(f"config key {key} must be {annotation}, got {value!r}")
     cast = _CASTS.get(annotation)
     try:
         return cast(value) if cast else value
@@ -243,13 +251,21 @@ def _load_corpus(config: RunConfig) -> corpus.MessageSet:
 
 
 def _check_generator(config: RunConfig) -> None:
-    if not config.mock_llm and config.llm is None:
+    """A remote generator needs its endpoint and, if the config names one, its key."""
+    if config.mock_llm:
+        return
+    if config.llm is None:
         raise ConfigError("remote generation needs llm.base_url and llm.model_name, or --mock")
+    generation.auth_headers(config.llm)
 
 
 def _check_scorer(config: RunConfig) -> None:
-    if not config.mock_nli and config.nli is None:
+    """A remote scorer needs its endpoint and, if the config names one, its key."""
+    if config.mock_nli:
+        return
+    if config.nli is None:
         raise ConfigError("remote scoring needs nli.base_url, or --mock")
+    generation.auth_headers(config.nli)
 
 
 def _load_or_train_model(

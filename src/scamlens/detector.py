@@ -76,10 +76,6 @@ class LengthMismatchError(DetectorError):
     """Metric inputs have different lengths or are empty."""
 
 
-class FrozenModelError(DetectorError):
-    """A mutation was attempted on a frozen model."""
-
-
 class CheckpointFormatError(DetectorError):
     """Checkpoint file carries the wrong format header or malformed fields."""
 
@@ -252,8 +248,7 @@ class DetectorModel:
     """Embedding table + mean pooling + one hidden layer + logistic output.
 
     The "identity" activation exists for linear test fixtures only; real
-    models use tanh. Once frozen, weight arrays are marked read-only and
-    further training raises.
+    models use tanh. Once frozen, weight arrays are marked read-only.
     """
 
     vocab: Vocab
@@ -433,38 +428,24 @@ def _split_indices(
     return np.array(sorted(train)), np.array(sorted(val))
 
 
-def train(
-    corpus: MessageSet, config: TrainConfig, init: DetectorModel | None = None
-) -> DetectorModel:
+def train(corpus: MessageSet, config: TrainConfig) -> DetectorModel:
     """Full-batch cross-entropy descent with early stopping on validation macro F1.
 
     Returns the best-validation checkpoint, unfrozen. Deterministic: weight
     init, the train/validation split, and the update schedule all derive from
     config.seed.
     """
-    if init is not None and init.frozen:
-        raise FrozenModelError("cannot continue training a frozen model")
     label_values = {m.label for m in corpus}
     if len(label_values) < 2:
         raise SingleClassCorpusError("training corpus must contain both scam and ham messages")
 
     rng = np.random.default_rng(config.seed)
-    if init is not None:
-        vocab = init.vocab
-        d, h = init.dim, init.hidden_dim
-        embedding = np.array(init.embedding, copy=True)
-        hidden_w = np.array(init.hidden_w, copy=True)
-        hidden_b = np.array(init.hidden_b, copy=True)
-        out_w = np.array(init.out_w, copy=True)
-        out_b = float(init.out_b)
-    else:
-        vocab = build_vocab(corpus, config.vocab_size)
-        d, h = config.d, config.h
-        embedding = rng.uniform(-0.1, 0.1, size=(len(vocab), d))
-        hidden_w = rng.uniform(-0.1, 0.1, size=(d, h))
-        hidden_b = rng.uniform(-0.1, 0.1, size=h)
-        out_w = rng.uniform(-0.1, 0.1, size=h)
-        out_b = float(rng.uniform(-0.1, 0.1))
+    vocab = build_vocab(corpus, config.vocab_size)
+    embedding = rng.uniform(-0.1, 0.1, size=(len(vocab), config.d))
+    hidden_w = rng.uniform(-0.1, 0.1, size=(config.d, config.h))
+    hidden_b = rng.uniform(-0.1, 0.1, size=config.h)
+    out_w = rng.uniform(-0.1, 0.1, size=config.h)
+    out_b = float(rng.uniform(-0.1, 0.1))
 
     bags = _bag_matrix(corpus, vocab, config.limit)
     y = np.array([1.0 if m.label is Label.SCAM else 0.0 for m in corpus])

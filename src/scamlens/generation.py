@@ -220,6 +220,20 @@ _Item = TypeVar("_Item")
 _Result = TypeVar("_Result")
 
 
+def auth_headers(config: EndpointConfig) -> dict[str, str]:
+    """The endpoint's one auth rule: a bearer token from the variable named by
+    `api_key_env_var`, or no header when that is None. An unset or empty
+    variable raises AuthError naming the endpoint and the variable."""
+    if config.api_key_env_var is None:
+        return {}
+    key = os.environ.get(config.api_key_env_var, "")
+    if not key:
+        raise AuthError(
+            f"{config.base_url}: environment variable {config.api_key_env_var} is not set"
+        )
+    return {"Authorization": f"Bearer {key}"}
+
+
 def post_json_with_retry(
     config: EndpointConfig, path: str, payload: dict[str, Any]
 ) -> tuple[str, Any]:
@@ -232,12 +246,7 @@ def post_json_with_retry(
     is a TransportError that names the URL.
     """
     url = config.base_url.rstrip("/") + path
-    headers = {}
-    if config.api_key_env_var is not None:
-        key = os.environ.get(config.api_key_env_var, "")
-        if not key:
-            raise AuthError(f"{url}: environment variable {config.api_key_env_var} is not set")
-        headers["Authorization"] = f"Bearer {key}"
+    headers = auth_headers(config)
     attempts = config.max_retries + 1
     last_failure: TransportError | None = None
     for attempt in range(attempts):

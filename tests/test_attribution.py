@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,11 +102,27 @@ class TestGradientShap:
         assert mean_gap(1024) <= mean_gap(16)
 
     def test_chunked_sampling_matches_single_pass(self):
-        # n_samples above the internal chunk size must not change determinism.
+        # Many samples are drawn and evaluated as one batch; the result stays
+        # a pure function of the seed.
         model = frozen_random_model(5)
         tok = simple_input(model)
         config = AttributionConfig(n_samples=300, seed=4)
         assert gradient_shap(model, tok, config) == gradient_shap(model, tok, config)
+
+    def test_memory_does_not_grow_with_input_length(self):
+        # Noise is drawn on the pooled vector, so the sample batch costs
+        # O(n_samples * d) whatever the number of pieces.
+        model = frozen_random_model(6)
+        n = 512
+        ids = tuple(5 + i % (len(model.vocab) - 5) for i in range(n))
+        tok = TokenizedInput(ids, tuple(range(n)), tuple(f"w{i}" for i in range(n)))
+        tracemalloc.start()
+        try:
+            gradient_shap(model, tok, AttributionConfig(n_samples=256, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestAggregateToWords:

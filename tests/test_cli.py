@@ -30,12 +30,15 @@ ARTIFACTS = (
 # them and says why.
 GOLDEN_DIGESTS = {
     "predictions.jsonl": "4e8bb23acfc3f283a1c6e04735b46fbf6d913c93c831d7fed2bf0c565fb8d270",
-    "evidence.jsonl": "95ae6485551a39d3502ddb8b6a7c83af6c6a5798d5915f55f0a7e864b3c79eae",
+    "evidence.jsonl": "402316eea4d8aaaebce124131c1551edaa6f5721370460dc5e3afc8e6c3c9aa9",
     "explanations.jsonl": "40c29179b1ba9ffc77a8d9869cca4a5bba52da6d7701ec669cce5a62b74e154a",
     "metrics.jsonl": "d66a53443b8828022bd3e4323c68d430fdb9a91b142dda2258f8c65739987767",
     "report.json": "f7f7394622108a47bba9a06b5f7985f0a481bd277525a3fc0369aa47a5dbd7bf",
     "report.txt": "a0013541b2bee9e365d3d0c021f3779249aac779be2a849b02521b5407e661ab",
 }
+
+# An endpoint key variable that no test sets.
+_UNSET_KEY = {"api_key_env_var": "SCAMLENS_TEST_UNSET_KEY"}
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -123,6 +126,8 @@ class TestConfig:
             ("nli", {"base_url": "http://x", "timeout": 0}, "timeout"),
             ("llm", {"mock": "false"}, "mock"),
             ("nli", {"mock": 1}, "mock"),
+            ("nli", {"base_url": "http://x", "api_key_env_var": 5}, "api_key_env_var"),
+            ("llm", {"base_url": "http://x", "model_name": 5}, "model_name"),
         ],
     )
     def test_invalid_section_value_rejected(self, tmp_path, section, values, key):
@@ -284,10 +289,24 @@ class TestPipelineCommand:
         [
             ({"llm": {"base_url": "http://x"}, "nli": {"mock": True}}, ["--train"]),
             ({"llm": {"mock": True}}, ["--train"]),
+            (
+                {
+                    "llm": {"base_url": "http://127.0.0.1:9", "model_name": "m", **_UNSET_KEY},
+                    "nli": {"mock": True},
+                },
+                ["--train"],
+            ),
+            (
+                {"llm": {"mock": True}, "nli": {"base_url": "http://127.0.0.1:9", **_UNSET_KEY}},
+                ["--train"],
+            ),
             ({"model_path": "nomodel.json"}, ["--mock"]),
         ],
     )
-    def test_unusable_setup_fails_before_out_dir(self, tmp_path, capsys, overrides, flags):
+    def test_unusable_setup_fails_before_out_dir(
+        self, tmp_path, capsys, monkeypatch, overrides, flags
+    ):
+        monkeypatch.delenv(_UNSET_KEY["api_key_env_var"], raising=False)
         config = write_config(tmp_path, **overrides)
         out = tmp_path / "run"
         rc = cli.main(["pipeline", "--config", str(config), "--out", str(out), *flags])

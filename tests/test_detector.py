@@ -12,7 +12,6 @@ from scamlens.detector import (
     CheckpointFormatError,
     CorpusEmptyError,
     DetectorModel,
-    FrozenModelError,
     IndexOutOfVocabError,
     LengthMismatchError,
     NonFiniteWeightsError,
@@ -260,11 +259,6 @@ class TestTrain:
 
 
 class TestFreeze:
-    def test_training_from_frozen_model_rejected(self, small_corpus, trained_model):
-        frozen = freeze(trained_model)
-        with pytest.raises(FrozenModelError):
-            train(small_corpus, TrainConfig(seed=0), init=frozen)
-
     def test_idempotent(self, trained_model):
         once = freeze(trained_model)
         assert freeze(once) is once
