@@ -1,17 +1,17 @@
 """Scam-message explanation pipeline.
 
-A frozen differentiable detector provides embedding-space attributions for
-messages it classifies as scams; ranked evidence words ground natural
-language explanations generated under four conditions (with and without
-evidence, with two persona styles), which are scored for faithfulness,
-entailment-based correctness, and readability.
+A differentiable detector with read-only weights provides embedding-space
+attributions for messages it classifies as scams; ranked evidence words
+ground natural language explanations generated under four conditions
+(with and without evidence, with two persona styles), which are scored for
+faithfulness, entailment-based correctness, and readability.
 """
 
 __version__ = "0.1.0"
 
 from .attribution import AttributionConfig, EvidenceSet, filter_evidence, gradient_shap
 from .corpus import Channel, Label, Message, MessageSet, format_input, synth_corpus
-from .detector import DetectorModel, TrainConfig, forward, freeze, macro_f1, train
+from .detector import DetectorModel, TrainConfig, macro_f1, train
 from .evaluation import EvaluationConfig, MetricReport, correctness, faithfulness, fkgl
 from .generation import Condition, Explanation, Prompt, build_prompt, mock_generate
 from .persona import Persona, VulnerabilityLevel, build_instruction, persona_from_vulnerability
@@ -40,8 +40,6 @@ __all__ = [
     "filter_evidence",
     "fkgl",
     "format_input",
-    "forward",
-    "freeze",
     "gradient_shap",
     "macro_f1",
     "mock_generate",

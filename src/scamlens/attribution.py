@@ -1,4 +1,4 @@
-"""Embedding-space attribution for the frozen detector.
+"""Embedding-space attribution for the detector.
 
 Expected-gradients sampling against a fixed all-PAD baseline, aggregation of
 subword scores into word scores via the tokenizer alignment, and filtering
@@ -20,10 +20,6 @@ from .detector import DetectorModel, TokenizedInput, embed, grad_wrt_pooled, log
 
 class AttributionError(Exception):
     """Base class for attribution-stage failures."""
-
-
-class ModelNotFrozenError(AttributionError):
-    """Attribution requires a frozen model so scores are stable."""
 
 
 class ZeroSamplesError(AttributionError, ValueError):
@@ -110,9 +106,6 @@ def gradient_shap(
     draws. Per-piece scores sum the embedding coordinates. Pure function of
     (weights, input, config).
     """
-    if not model.frozen:
-        raise ModelNotFrozenError("gradient_shap requires a frozen model")
-
     x = embed(model, tokenized)  # (n, d)
     n, d = x.shape
     baseline_row = model.embedding[model.vocab.pad_id]

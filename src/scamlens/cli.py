@@ -445,7 +445,6 @@ def run_pipeline(config: RunConfig, allow_train: bool) -> Path:
     corpus.save_jsonl(messages, out / "corpus.jsonl")
 
     model, model_path = _stage("model", _load_or_train_model, config, messages, out)
-    model = detector.freeze(model)
 
     predictions = _predict(model, messages, out / "predictions.jsonl")
 
@@ -526,7 +525,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     messages = corpus.load_jsonl(args.corpus)
-    model = detector.freeze(detector.load_model(args.model))
+    model = detector.load_model(args.model)
     predictions = _predict(model, messages, Path(args.out))
     print(f"wrote {len(predictions)} predictions to {args.out}")
     return 0
@@ -544,7 +543,7 @@ def _cmd_explain_one(args: argparse.Namespace) -> int:
     config = apply_overrides(load_run_config(args.config), args)
     config.conditions = (_PERSONA_CONDITIONS[args.persona],)
     _check_generator(config)
-    model = detector.freeze(detector.load_model(args.model))
+    model = detector.load_model(args.model)
     message = corpus.Message(
         id="adhoc-000000",
         channel=corpus.Channel(args.channel),
@@ -580,7 +579,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     _check_generator(config)
     out = _resolve_out_dir(config.out_dir)
     messages = corpus.load_jsonl(args.corpus)
-    model = detector.freeze(detector.load_model(args.model))
+    model = detector.load_model(args.model)
     evidence_by_id, dropped, _ = _explain(config, model, messages, out)
     print(f"explained {len(evidence_by_id)} messages ({dropped} dropped for empty evidence)")
     return 0

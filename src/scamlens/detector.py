@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -248,7 +248,9 @@ class DetectorModel:
     """Embedding table + mean pooling + one hidden layer + logistic output.
 
     The "identity" activation exists for linear test fixtures only; real
-    models use tanh. Once frozen, weight arrays are marked read-only.
+    models use tanh. Construction stores float64 read-only copies of the
+    weight arrays, so a model's weights never change after it is built and
+    the caller's arrays stay independent of it.
     """
 
     vocab: Vocab
@@ -260,14 +262,27 @@ class DetectorModel:
     activation: str = "tanh"
     piece_limit: int = DEFAULT_PIECE_LIMIT
     seed: int = 0
-    frozen: bool = False
     val_macro_f1: float | None = None
     epochs_run: int | None = None
 
     def __post_init__(self) -> None:
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.embedding.shape[1] < 2 or self.hidden_w.shape[1] < 1:
+        for name in ("embedding", "hidden_w", "hidden_b", "out_w"):
+            array = np.array(getattr(self, name), dtype=np.float64)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        d, h = self.embedding.shape[-1], self.out_w.shape[-1]
+        expected = {
+            "embedding": (len(self.vocab), d),
+            "hidden_w": (d, h),
+            "hidden_b": (h,),
+            "out_w": (h,),
+        }
+        for name, shape in expected.items():
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {getattr(self, name).shape}")
+        if d < 2 or h < 1:
             raise ValueError("embedding dim must be >= 2 and hidden dim >= 1")
 
     @property
@@ -290,23 +305,14 @@ def _check_finite(model: DetectorModel) -> None:
         raise NonFiniteWeightsError("model weights contain non-finite values")
 
 
-def _sigmoid_scalar(z: float) -> float:
-    if z >= 0:
-        p = 1.0 / (1.0 + math.exp(-z))
-    else:
-        e = math.exp(z)
-        p = e / (1.0 + e)
-    # Keep the probability strictly inside (0, 1) even for extreme logits.
-    return min(max(p, 5e-324), float(np.nextafter(1.0, 0.0)))
-
-
-def _sigmoid_vec(z: np.ndarray) -> np.ndarray:
+def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
-    return out
+    # Keep the probability strictly inside (0, 1) even for extreme logits.
+    return np.clip(out, 5e-324, np.nextafter(1.0, 0.0))
 
 
 def logits_from_pooled(model: DetectorModel, pooled: np.ndarray) -> np.ndarray:
@@ -342,14 +348,6 @@ def logit_from_embeddings(model: DetectorModel, piece_embeddings: np.ndarray) ->
     return float(logits_from_pooled(model, pooled[None, :])[0])
 
 
-def forward(model: DetectorModel, tokenized: TokenizedInput) -> Prediction:
-    """Deterministic forward pass to a scam probability."""
-    logit = logit_from_embeddings(model, embed(model, tokenized))
-    probability = _sigmoid_scalar(logit)
-    label = Label.SCAM if probability >= 0.5 else Label.HAM
-    return Prediction(scam_probability=probability, predicted_label=label, logit=logit)
-
-
 def grad_wrt_embeddings(model: DetectorModel, piece_embeddings: np.ndarray) -> np.ndarray:
     """Exact gradient of the scam logit w.r.t. each piece embedding coordinate.
 
@@ -361,18 +359,6 @@ def grad_wrt_embeddings(model: DetectorModel, piece_embeddings: np.ndarray) -> n
     pooled = piece_embeddings.mean(axis=0)
     g = grad_wrt_pooled(model, pooled[None, :])[0] / n
     return np.tile(g, (n, 1))
-
-
-def freeze(model: DetectorModel) -> DetectorModel:
-    """Return a frozen copy whose weight arrays are read-only. Idempotent."""
-    if model.frozen:
-        return model
-    arrays = {}
-    for name in ("embedding", "hidden_w", "hidden_b", "out_w"):
-        arr = np.array(getattr(model, name), dtype=np.float64, copy=True)
-        arr.setflags(write=False)
-        arrays[name] = arr
-    return replace(model, frozen=True, **arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +385,10 @@ class TrainConfig:
             raise ValueError("val_fraction must be in (0, 1)")
         if self.epochs < 1 or self.patience < 1:
             raise ValueError("epochs and patience must be >= 1")
+        if self.d < 2 or self.h < 1:
+            raise ValueError("d must be >= 2 and h must be >= 1")
+        if self.limit < 1:
+            raise ValueError("limit must be >= 1")
 
 
 def _bag_matrix(corpus: MessageSet, vocab: Vocab, limit: int) -> np.ndarray:
@@ -431,7 +421,7 @@ def _split_indices(
 def train(corpus: MessageSet, config: TrainConfig) -> DetectorModel:
     """Full-batch cross-entropy descent with early stopping on validation macro F1.
 
-    Returns the best-validation checkpoint, unfrozen. Deterministic: weight
+    Returns the best-validation checkpoint. Deterministic: weight
     init, the train/validation split, and the update schedule all derive from
     config.seed.
     """
@@ -464,7 +454,7 @@ def train(corpus: MessageSet, config: TrainConfig) -> DetectorModel:
         epochs_run += 1
         pooled = bags_train @ embedding
         hidden = act(pooled @ hidden_w + hidden_b)
-        probs = _sigmoid_vec(hidden @ out_w + out_b)
+        probs = _sigmoid(hidden @ out_w + out_b)
         dz = (probs - y_train) / len(y_train)
         d_out_w = hidden.T @ dz
         d_out_b = float(dz.sum())
@@ -506,19 +496,27 @@ def train(corpus: MessageSet, config: TrainConfig) -> DetectorModel:
         activation="tanh",
         piece_limit=config.limit,
         seed=config.seed,
-        frozen=False,
         val_macro_f1=f1,
         epochs_run=epochs_run,
     )
 
 
 def predict_set(model: DetectorModel, message_set: MessageSet) -> dict[str, Prediction]:
-    """Predictions keyed by message id."""
-    out = {}
-    for message in message_set:
+    """Predictions keyed by message id: one batched forward pass over the pooled inputs."""
+    pooled = np.empty((len(message_set), model.dim))
+    for row, message in enumerate(message_set):
         tokenized = tokenize(format_input(message), model.vocab, model.piece_limit)
-        out[message.id] = forward(model, tokenized)
-    return out
+        pooled[row] = embed(model, tokenized).mean(axis=0)
+    logits = logits_from_pooled(model, pooled)
+    probabilities = _sigmoid(logits)
+    return {
+        message.id: Prediction(
+            scam_probability=float(p),
+            predicted_label=Label.SCAM if p >= 0.5 else Label.HAM,
+            logit=float(z),
+        )
+        for message, z, p in zip(message_set, logits, probabilities)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +566,6 @@ def save_model(model: DetectorModel, path: str | Path) -> None:
         "activation": model.activation,
         "piece_limit": model.piece_limit,
         "seed": model.seed,
-        "frozen": model.frozen,
         "val_macro_f1": model.val_macro_f1,
         "epochs_run": model.epochs_run,
     }
@@ -591,15 +588,14 @@ def load_model(path: str | Path) -> DetectorModel:
     try:
         model = DetectorModel(
             vocab=Vocab.from_pieces(payload["pieces"]),
-            embedding=np.array(payload["embedding"], dtype=np.float64),
-            hidden_w=np.array(payload["hidden_w"], dtype=np.float64),
-            hidden_b=np.array(payload["hidden_b"], dtype=np.float64),
-            out_w=np.array(payload["out_w"], dtype=np.float64),
+            embedding=payload["embedding"],
+            hidden_w=payload["hidden_w"],
+            hidden_b=payload["hidden_b"],
+            out_w=payload["out_w"],
             out_b=float(payload["out_b"]),
             activation=payload["activation"],
             piece_limit=int(payload["piece_limit"]),
             seed=int(payload["seed"]),
-            frozen=False,
             val_macro_f1=payload.get("val_macro_f1"),
             epochs_run=payload.get("epochs_run"),
         )
@@ -608,6 +604,4 @@ def load_model(path: str | Path) -> DetectorModel:
             f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})"
         ) from None
     _check_finite(model)
-    if payload.get("frozen"):
-        model = freeze(model)
     return model

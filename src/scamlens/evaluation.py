@@ -118,24 +118,18 @@ def lemmatize(token: str) -> str:
     return word.strip(string.punctuation)
 
 
-@dataclass(frozen=True)
-class ExplanationTokens:
+def explanation_lemmas(text: str) -> frozenset[str]:
     """Lemmatized content-token set of an explanation."""
-
-    lemmas: frozenset[str]
-
-    @classmethod
-    def from_text(cls, text: str) -> "ExplanationTokens":
-        # Stopwords are dropped by the same surface rule evidence filtering
-        # uses, so an echoed evidence word is never lost on one side only.
-        lemmas = set()
-        for token in text.split():
-            if lexicon.is_stopword_surface(token) and not lexicon.is_risk_token(token.lower()):
-                continue
-            lemma = lemmatize(token)
-            if lemma:
-                lemmas.add(lemma)
-        return cls(lemmas=frozenset(lemmas))
+    # Stopwords are dropped by the same surface rule evidence filtering
+    # uses, so an echoed evidence word is never lost on one side only.
+    lemmas = set()
+    for token in text.split():
+        if lexicon.is_stopword_surface(token) and not lexicon.is_risk_token(token.lower()):
+            continue
+        lemma = lemmatize(token)
+        if lemma:
+            lemmas.add(lemma)
+    return frozenset(lemmas)
 
 
 def evidence_lemmas(evidence: EvidenceSet) -> frozenset[str]:
@@ -152,7 +146,7 @@ def faithfulness(evidence: EvidenceSet, explanation: Explanation) -> float:
         raise EmptyEvidenceError(
             f"message {explanation.message_id!r}: evidence set is empty, cannot score"
         )
-    found = ExplanationTokens.from_text(explanation.text).lemmas
+    found = explanation_lemmas(explanation.text)
     return len(reference & found) / len(reference)
 
 
@@ -211,7 +205,7 @@ _RISK_CUE_LEMMAS = frozenset(lemmatize(w) for w in lexicon.RISK_CUE_WORDS)
 
 def mock_score_nli(explanation: Explanation) -> NliScores:
     """Deterministic lexicon-based entailment scorer for offline runs."""
-    found = ExplanationTokens.from_text(explanation.text).lemmas & _RISK_CUE_LEMMAS
+    found = explanation_lemmas(explanation.text) & _RISK_CUE_LEMMAS
     if len(found) >= 2:
         return _MOCK_RICH
     if len(found) == 1:

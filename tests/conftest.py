@@ -61,7 +61,7 @@ def trained_model(small_corpus) -> detector.DetectorModel:
 
 @pytest.fixture(scope="session")
 def frozen_model(trained_model) -> detector.DetectorModel:
-    return detector.freeze(trained_model)
+    return trained_model
 
 
 class ScriptedServer:

@@ -22,7 +22,6 @@ from scamlens.attribution import AttributionConfig, EvidenceSet, completeness_ga
 from scamlens.detector import (
     TokenizedInput,
     TrainConfig,
-    freeze,
     grad_wrt_embeddings,
     logit_from_embeddings,
     tokenize,
@@ -43,7 +42,7 @@ def acceptance_corpus():
 
 @pytest.fixture(scope="session")
 def acceptance_model(acceptance_corpus):
-    return freeze(train(acceptance_corpus, TrainConfig(seed=7)))
+    return train(acceptance_corpus, TrainConfig(seed=7))
 
 
 @pytest.fixture(scope="session")
@@ -101,7 +100,7 @@ def test_criterion_1_gradient_matches_finite_differences():
 def test_criterion_2_linear_fixture_completeness():
     started = time.perf_counter()
     rng = np.random.default_rng(77)
-    model = freeze(make_model(rng, activation="identity"))
+    model = make_model(rng, activation="identity")
     ids = tuple(int(i) for i in rng.integers(0, len(model.vocab), size=7))
     tok = TokenizedInput(ids, tuple(range(7)), tuple(f"w{i}" for i in range(7)))
     worst = 0.0

@@ -29,7 +29,7 @@ ARTIFACTS = (
 # `write_config` values. A change that alters these bytes on purpose re-pins
 # them and says why.
 GOLDEN_DIGESTS = {
-    "predictions.jsonl": "4e8bb23acfc3f283a1c6e04735b46fbf6d913c93c831d7fed2bf0c565fb8d270",
+    "predictions.jsonl": "e55b478bf77b899cd443e9935040b5dd39c2baa2c974ac3ddaa00d4d175bc6d7",
     "evidence.jsonl": "402316eea4d8aaaebce124131c1551edaa6f5721370460dc5e3afc8e6c3c9aa9",
     "explanations.jsonl": "40c29179b1ba9ffc77a8d9869cca4a5bba52da6d7701ec669cce5a62b74e154a",
     "metrics.jsonl": "d66a53443b8828022bd3e4323c68d430fdb9a91b142dda2258f8c65739987767",
@@ -128,6 +128,9 @@ class TestConfig:
             ("nli", {"mock": 1}, "mock"),
             ("nli", {"base_url": "http://x", "api_key_env_var": 5}, "api_key_env_var"),
             ("llm", {"base_url": "http://x", "model_name": 5}, "model_name"),
+            ("train", {"limit": 0}, "limit"),
+            ("train", {"d": 1}, "d"),
+            ("train", {"h": 0}, "h"),
         ],
     )
     def test_invalid_section_value_rejected(self, tmp_path, section, values, key):
@@ -204,6 +207,8 @@ class TestPipelineCommand:
             {"train": {"val_fraction": 2}},
             {"nli": {"base_url": "http://x", "max_retries": -1}},
             {"nli": {"base_url": "http://x", "timeout": 0}},
+            {"train": {"limit": 0}},
+            {"train": {"d": 1}},
         ],
     )
     def test_invalid_config_value_fails_before_out_dir(self, tmp_path, capsys, overrides):

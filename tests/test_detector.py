@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_model, make_vocab, zero_model
-from scamlens.corpus import Channel, FormattedText, Label, Message, MessageSet, format_input
+from scamlens.corpus import Channel, FormattedText, Label, Message, MessageSet
 from scamlens.detector import (
     CHECKPOINT_FORMAT,
     CheckpointFormatError,
@@ -19,8 +19,7 @@ from scamlens.detector import (
     TokenizedInput,
     TrainConfig,
     build_vocab,
-    forward,
-    freeze,
+    embed,
     grad_wrt_embeddings,
     load_model,
     logit_from_embeddings,
@@ -114,37 +113,39 @@ class TestTokenize:
             TokenizedInput((1, 2), (1, 0), ("a", "b"))
 
 
+def predict_one(model: DetectorModel, message: Message):
+    return predict_set(model, MessageSet((message,)))[message.id]
+
+
+def sms(body: str) -> Message:
+    return Message(id="m", channel=Channel.SMS, body=body, label=Label.SCAM)
+
+
 class TestForward:
     def test_zero_weights_give_half_probability(self):
-        model = zero_model()
-        tok = tokenize(FormattedText("<SMS> abc", "<SMS>"), model.vocab)
-        pred = forward(model, tok)
+        pred = predict_one(zero_model(), sms("abc"))
         assert pred.scam_probability == 0.5
         assert pred.logit == 0.0
         assert pred.predicted_label is Label.SCAM
 
     def test_trained_model_flags_scam_template(self, frozen_model, small_corpus):
         scam = next(m for m in small_corpus if m.label is Label.SCAM)
-        tok = tokenize(format_input(scam), frozen_model.vocab, frozen_model.piece_limit)
-        assert forward(frozen_model, tok).predicted_label is Label.SCAM
+        assert predict_one(frozen_model, scam).predicted_label is Label.SCAM
 
     def test_bit_identical_across_calls(self, frozen_model, small_corpus):
-        tok = tokenize(
-            format_input(small_corpus.messages[0]), frozen_model.vocab, frozen_model.piece_limit
-        )
-        assert forward(frozen_model, tok) == forward(frozen_model, tok)
+        message = small_corpus.messages[0]
+        assert predict_one(frozen_model, message) == predict_one(frozen_model, message)
 
     def test_out_of_vocab_id_raises(self):
         model = zero_model()
         tok = TokenizedInput((len(model.vocab),), (0,), ("x",))
         with pytest.raises(IndexOutOfVocabError):
-            forward(model, tok)
+            embed(model, tok)
 
     def test_probability_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(0)
         model = make_model(rng, scale=80.0)
-        tok = tokenize(FormattedText("<SMS> abc def", "<SMS>"), model.vocab)
-        p = forward(model, tok).scam_probability
+        p = predict_one(model, sms("abc def")).scam_probability
         assert 0.0 < p < 1.0
 
 
@@ -258,21 +259,29 @@ class TestTrain:
         assert macro_f1(predicted, actual) >= 0.90
 
 
-class TestFreeze:
-    def test_idempotent(self, trained_model):
-        once = freeze(trained_model)
-        assert freeze(once) is once
+WEIGHT_NAMES = ("embedding", "hidden_w", "hidden_b", "out_w")
 
-    def test_forward_unchanged_by_freezing(self, trained_model, small_corpus):
-        tok = tokenize(
-            format_input(small_corpus.messages[0]), trained_model.vocab, trained_model.piece_limit
-        )
-        assert forward(trained_model, tok) == forward(freeze(trained_model), tok)
 
-    def test_frozen_arrays_are_read_only(self, trained_model):
-        frozen = freeze(trained_model)
-        with pytest.raises(ValueError):
-            frozen.embedding[0, 0] = 1.0
+class TestImmutability:
+    @pytest.mark.parametrize("source", ["trained", "loaded", "constructed"])
+    def test_weight_arrays_are_read_only(self, trained_model, tmp_path, source):
+        if source == "trained":
+            model = trained_model
+        elif source == "loaded":
+            save_model(trained_model, tmp_path / "model.json")
+            model = load_model(tmp_path / "model.json")
+        else:
+            inputs = {name: getattr(trained_model, name).copy() for name in WEIGHT_NAMES}
+            model = DetectorModel(vocab=trained_model.vocab, out_b=trained_model.out_b, **inputs)
+            # The model owns its weights: editing the caller's arrays changes nothing.
+            for array in inputs.values():
+                array[...] = 0.0
+        for name in WEIGHT_NAMES:
+            array = getattr(model, name)
+            assert array.dtype == np.float64
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+            assert np.array_equal(array, getattr(trained_model, name))
 
 
 class TestMacroF1:
@@ -317,10 +326,8 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         save_model(trained_model, path)
         loaded = load_model(path)
-        tok = tokenize(
-            format_input(small_corpus.messages[0]), trained_model.vocab, trained_model.piece_limit
-        )
-        assert forward(loaded, tok) == forward(trained_model, tok)
+        message = small_corpus.messages[0]
+        assert predict_one(loaded, message) == predict_one(trained_model, message)
         assert loaded.val_macro_f1 == trained_model.val_macro_f1
 
     def test_header_written(self, tmp_path, trained_model):
@@ -354,8 +361,16 @@ class TestCheckpoint:
             lambda payload: payload.pop("embedding"),
             lambda payload: payload.update(activation="relu"),
             lambda payload: payload.update(out_b="not a number"),
+            lambda payload: payload.update(embedding=payload["embedding"][:50]),
+            lambda payload: payload.update(hidden_w=[row[:-1] for row in payload["hidden_w"]]),
         ],
-        ids=["missing_embedding", "unknown_activation", "non_numeric_bias"],
+        ids=[
+            "missing_embedding",
+            "unknown_activation",
+            "non_numeric_bias",
+            "embedding_rows_short",
+            "hidden_w_column_short",
+        ],
     )
     def test_malformed_checkpoint_names_the_file(self, tmp_path, trained_model, edit):
         import json
@@ -369,7 +384,15 @@ class TestCheckpoint:
             load_model(path)
         assert str(path) in str(info.value)
 
-    def test_frozen_state_preserved(self, tmp_path, trained_model):
+    def test_legacy_frozen_key_ignored(self, tmp_path, trained_model):
+        import json
+
         path = tmp_path / "model.json"
-        save_model(freeze(trained_model), path)
-        assert load_model(path).frozen
+        save_model(trained_model, path)
+        payload = json.loads(path.read_text())
+        assert "frozen" not in payload
+        payload["frozen"] = True
+        path.write_text(json.dumps(payload))
+        loaded = load_model(path)
+        assert np.array_equal(loaded.embedding, trained_model.embedding)
+        assert not loaded.embedding.flags.writeable

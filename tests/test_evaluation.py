@@ -16,7 +16,6 @@ from scamlens.evaluation import (
     EmptyGroupError,
     EmptyTextError,
     EvaluationConfig,
-    ExplanationTokens,
     MessageMetrics,
     NliScores,
     NoLettersError,
@@ -26,6 +25,7 @@ from scamlens.evaluation import (
     correctness,
     count_syllables,
     evidence_lemmas,
+    explanation_lemmas,
     faithfulness,
     fkgl,
     lemmatize,
@@ -166,11 +166,11 @@ class TestFaithfulness:
 
 class TestExplanationTokens:
     def test_drops_stopwords_and_empties(self):
-        tokens = ExplanationTokens.from_text("The urgent , thing is the link .")
-        assert "the" not in tokens.lemmas
-        assert "" not in tokens.lemmas
-        assert "urgent" in tokens.lemmas
-        assert "link" in tokens.lemmas
+        lemmas = explanation_lemmas("The urgent , thing is the link .")
+        assert "the" not in lemmas
+        assert "" not in lemmas
+        assert "urgent" in lemmas
+        assert "link" in lemmas
 
     def test_evidence_lemmas_deduplicate(self):
         evidence = make_evidence("click", "clicks")
