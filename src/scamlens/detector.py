@@ -268,6 +268,8 @@ class DetectorModel:
     def __post_init__(self) -> None:
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        if self.piece_limit < 1:
+            raise ValueError(f"piece_limit must be >= 1, got {self.piece_limit}")
         for name in ("embedding", "hidden_w", "hidden_b", "out_w"):
             array = np.array(getattr(self, name), dtype=np.float64)
             array.setflags(write=False)

@@ -12,6 +12,9 @@ Three metrics per explanation:
 The entailment probabilities come from an external scoring endpoint or from
 a deterministic lexicon-based mock. Aggregation reports mean and sample
 standard deviation per condition in the shape of a four-row results table.
+
+Per-token work (content lemma, syllable count) is memoized in LRU caches of
+fixed size `_TOKEN_MEMO_SIZE`; every score is the same as without them.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass, field
+from functools import lru_cache
 from statistics import mean, stdev
 from typing import Any, Mapping, Sequence
 
@@ -76,6 +80,8 @@ class EvaluationConfig:
             raise ValueError("alpha must be in [0, 1]")
 
 
+_TOKEN_MEMO_SIZE = 1 << 16  # per memo; fixed, so remote text cannot grow memory unbounded
+
 # ---------------------------------------------------------------------------
 # Lemmatization
 # ---------------------------------------------------------------------------
@@ -118,18 +124,19 @@ def lemmatize(token: str) -> str:
     return word.strip(string.punctuation)
 
 
+@lru_cache(maxsize=_TOKEN_MEMO_SIZE)
+def _content_lemma(token: str) -> str:
+    # Returns "" for a stopword. Stopwords are dropped by the same surface
+    # rule evidence filtering uses, so an echoed evidence word is never lost
+    # on one side only.
+    if lexicon.is_stopword_surface(token) and not lexicon.is_risk_token(token.lower()):
+        return ""
+    return lemmatize(token)
+
+
 def explanation_lemmas(text: str) -> frozenset[str]:
     """Lemmatized content-token set of an explanation."""
-    # Stopwords are dropped by the same surface rule evidence filtering
-    # uses, so an echoed evidence word is never lost on one side only.
-    lemmas = set()
-    for token in text.split():
-        if lexicon.is_stopword_surface(token) and not lexicon.is_risk_token(token.lower()):
-            continue
-        lemma = lemmatize(token)
-        if lemma:
-            lemmas.add(lemma)
-    return frozenset(lemmas)
+    return frozenset(filter(None, map(_content_lemma, text.split())))
 
 
 def evidence_lemmas(evidence: EvidenceSet) -> frozenset[str]:
@@ -252,6 +259,14 @@ def count_syllables(word: str) -> int:
     return max(runs, 1)
 
 
+@lru_cache(maxsize=_TOKEN_MEMO_SIZE)
+def _word_syllables(token: str) -> int:
+    """Syllables of one whitespace token: 0 for a non-word, 1 for a number."""
+    if not any(ch.isalpha() for ch in token):
+        return int(any(ch.isalnum() for ch in token))
+    return count_syllables(token)
+
+
 @dataclass(frozen=True)
 class ReadabilityBreakdown:
     words: int
@@ -269,17 +284,15 @@ def fkgl(text: str) -> ReadabilityBreakdown:
     all-digit tokens count one syllable.
     """
     sentences = split_sentences(text)
-    words = [t for t in text.split() if any(ch.isalnum() for ch in t)]
-    if not words:
+    counts = [c for c in map(_word_syllables, text.split()) if c]
+    if not counts:
         raise EmptyTextError("no countable words in text")
-    syllables = sum(
-        count_syllables(w) if any(ch.isalpha() for ch in w) else 1 for w in words
-    )
-    sc = len(words) / len(sentences)
-    ld = syllables / len(words)
+    syllables = sum(counts)
+    sc = len(counts) / len(sentences)
+    ld = syllables / len(counts)
     value = 0.39 * sc + 11.8 * ld - 15.59
     return ReadabilityBreakdown(
-        words=len(words),
+        words=len(counts),
         sentences=len(sentences),
         syllables=syllables,
         sc=sc,

@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from scamlens import cli, corpus, detector
-from scamlens.attribution import AttributionConfig
+from scamlens import cli, corpus, detector, evaluation
+from scamlens.attribution import AttributionConfig, EvidenceSet
 from scamlens.cli import ConfigError, interpolate_env, load_run_config, parse_conditions
 from scamlens.evaluation import EvaluationConfig
-from scamlens.generation import Condition
+from scamlens.generation import Condition, Explanation, GeneratorKind
 
 ARTIFACTS = (
     "corpus.jsonl",
@@ -152,6 +152,46 @@ class TestConfig:
         assert config.attribution == AttributionConfig(n_samples=3, seed=11, k=5)
         assert config.evaluation == EvaluationConfig(alpha=0.9)
         assert detector.TrainConfig(**config.train) == detector.TrainConfig(epochs=3)
+
+
+class TestScoreAll:
+    def test_scores_through_the_module_attributes_once_per_explanation(self, monkeypatch):
+        # perfbench's span tracer wraps these three names on the module, so
+        # scoring must keep calling them through it, once per explanation.
+        calls = {name: [] for name in ("mock_score_nli", "faithfulness", "fkgl")}
+
+        def counting(name):
+            wrapped = getattr(evaluation, name)
+
+            def wrapper(*args):
+                calls[name].append(args[-1])
+                return wrapped(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(evaluation, name, counting(name))
+        evidence = {
+            "m1": EvidenceSet(phrases=(("urgent", 0.3), ("prize", 0.2)), k=8),
+            "m2": EvidenceSet(phrases=(("$500", 0.4),), k=8),
+        }
+        explanations = [
+            Explanation(
+                message_id=mid,
+                condition=condition,
+                text=f"Do not reply to {mid} : urgent , prize , $500 . Delete it.",
+                generator=GeneratorKind.MOCK,
+                model_name="mock",
+            )
+            for mid in evidence
+            for condition in Condition
+        ]
+        metrics = cli._score_all(cli.RunConfig(mock_nli=True), explanations, evidence)
+
+        assert len(metrics) == len(explanations)
+        assert calls["mock_score_nli"] == explanations
+        assert calls["faithfulness"] == [e for e in explanations if e.condition.wants_evidence]
+        assert calls["fkgl"] == [e.text for e in explanations]
 
 
 class TestPipelineCommand:

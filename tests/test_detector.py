@@ -363,6 +363,7 @@ class TestCheckpoint:
             lambda payload: payload.update(out_b="not a number"),
             lambda payload: payload.update(embedding=payload["embedding"][:50]),
             lambda payload: payload.update(hidden_w=[row[:-1] for row in payload["hidden_w"]]),
+            lambda payload: payload.update(piece_limit=0),
         ],
         ids=[
             "missing_embedding",
@@ -370,6 +371,7 @@ class TestCheckpoint:
             "non_numeric_bias",
             "embedding_rows_short",
             "hidden_w_column_short",
+            "piece_limit_zero",
         ],
     )
     def test_malformed_checkpoint_names_the_file(self, tmp_path, trained_model, edit):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scamlens import evaluation, lexicon
 from scamlens.attribution import EvidenceSet
 from scamlens.corpus import format_input, synth_corpus
 from scamlens.evaluation import (
@@ -175,6 +176,70 @@ class TestExplanationTokens:
     def test_evidence_lemmas_deduplicate(self):
         evidence = make_evidence("click", "clicks")
         assert evidence_lemmas(evidence) == frozenset({"click"})
+
+
+# Tokens of the kinds explanations hold: template words, stopwords with edge
+# punctuation, risk tokens, numbers, bare punctuation and non-ASCII letters.
+_MEMO_TOKENS = st.one_of(
+    st.sampled_from(
+        ["Take", "breath.", "scam.", "signs", "cues", "indicators", "fraudulent",
+         "solicitation", "transferring", "clicking", "replying", "money.", "friend",
+         "Systematic", "categorical", "delete", "prizes", "grandma's"]
+    ),
+    st.sampled_from(["The", "the", "it's,", "(you)", "Do", "not", "is", "IF:", "you're."]),
+    st.sampled_from(["$500", "http://x.co/a", "!!", "500usd", "bit.ly/x", "now!!", "it??", "€20,"]),
+    st.sampled_from(["500", "3.5", "2026,", "42.", ",", ":", ".", "...", "—", "-", "_"]),
+    st.sampled_from(["café", "naïve", "über", "Ärger", "İstanbul", "straße", "日本語", "½"]),
+    st.text(min_size=1, max_size=6),
+)
+_MEMO_TEXTS = st.lists(_MEMO_TOKENS, min_size=1, max_size=20).map(" ".join)
+
+
+def _reference_lemmas(text):
+    return frozenset(
+        lemma
+        for token in text.split()
+        if not (lexicon.is_stopword_surface(token) and not lexicon.is_risk_token(token.lower()))
+        for lemma in [lemmatize(token)]
+        if lemma
+    )
+
+
+def _reference_words_syllables(text):
+    words = [t for t in text.split() if any(ch.isalnum() for ch in t)]
+    syllables = sum(count_syllables(w) if any(ch.isalpha() for ch in w) else 1 for w in words)
+    return len(words), syllables
+
+
+class TestTokenMemo:
+    """The memoized per-token paths give the same results as the uncached rules."""
+
+    @given(_MEMO_TEXTS)
+    @settings(max_examples=200, deadline=None)
+    def test_explanation_lemmas_match_uncached_reference(self, text):
+        expected = _reference_lemmas(text)
+        assert explanation_lemmas(text) == expected
+        assert explanation_lemmas(text) == expected
+
+    @given(_MEMO_TEXTS)
+    @settings(max_examples=200, deadline=None)
+    def test_fkgl_matches_uncached_reference(self, text):
+        words, syllables = _reference_words_syllables(text)
+        for _ in range(2):
+            if not words:
+                with pytest.raises(EmptyTextError):
+                    fkgl(text)
+                continue
+            breakdown = fkgl(text)
+            sentences = len(split_sentences(text))
+            assert breakdown.words == words
+            assert breakdown.syllables == syllables
+            assert breakdown.fkgl == 0.39 * (words / sentences) + 11.8 * (syllables / words) - 15.59
+
+    @pytest.mark.parametrize("memo", [evaluation._content_lemma, evaluation._word_syllables])
+    def test_memo_is_bounded(self, memo):
+        maxsize = memo.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0
 
 
 class TestNliScores:
