@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -20,13 +21,21 @@ import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from . import __version__, attribution, corpus, detector, evaluation, generation, lexicon, persona
 
 
 class ConfigError(Exception):
     """Configuration is incomplete or inconsistent."""
+
+
+class StageError(Exception):
+    """A pipeline stage failed; `stage` names it and `__cause__` is the failure."""
+
+    def __init__(self, stage: str, cause: Exception) -> None:
+        super().__init__(f"stage {stage!r} failed: {cause}")
+        self.stage = stage
 
 
 _ENV_VAR = re.compile(r"\$\{(\w+)\}")
@@ -216,18 +225,23 @@ def _write_json(path: Path, payload: Mapping[str, Any]) -> None:
 
 def _resolve_out_dir(out_dir: str | None) -> Path:
     # Artifacts are immutable: a fresh directory per run. Without an explicit
-    # --out, runs land under ./runs with a UTC timestamp.
+    # --out, runs land under ./runs with a UTC timestamp, suffixed -1, -2, ...
+    # when that directory exists. Creating it is the check, so two runs never
+    # share one, even when they start in the same second.
     if out_dir:
         out = Path(out_dir)
         if out.exists() and any(out.iterdir()):
             raise ConfigError(f"output directory {out} already exists and is not empty")
-    else:
-        stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
-        out = Path("runs") / stamp
-        if out.exists():
-            raise ConfigError(f"output directory {out} already exists")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+        out.mkdir(parents=True, exist_ok=True)
+        return out
+    stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
+    for n in itertools.count():
+        out = Path("runs") / (f"{stamp}-{n}" if n else stamp)
+        try:
+            out.mkdir(parents=True)
+        except FileExistsError:
+            continue
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +252,40 @@ def _resolve_out_dir(out_dir: str | None) -> Path:
 
 
 def _stage(name: str, fn, *args, **kwargs):
+    """`fn(*args, **kwargs)`, its failure raised as a StageError naming `name`.
+    A StageError from a stream that an earlier stage handed on keeps its name."""
     try:
         return fn(*args, **kwargs)
+    except StageError:
+        raise
     except Exception as exc:
-        raise RuntimeError(f"stage {name!r} failed: {exc}") from exc
+        raise StageError(name, exc) from exc
+
+
+_T = TypeVar("_T")
+
+
+def _staged(name: str, stream: Iterable[_T]) -> Iterator[_T]:
+    """`stream`, its failures raised as a StageError naming `name`, so a lazy
+    stream read by a later stage still names the stage that made it."""
+    try:
+        yield from stream
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+
+
+def _recorded(items: Iterable[_T], into: list[_T]) -> Iterator[_T]:
+    """`items`, each appended to `into` as it is read. Closing this stream
+    closes `items`, so a batch upstream is cancelled too."""
+    source = iter(items)
+    try:
+        for item in source:
+            into.append(item)
+            yield item
+    finally:
+        close = getattr(source, "close", None)
+        if close is not None:
+            close()
 
 
 def _load_corpus(config: RunConfig) -> corpus.MessageSet:
@@ -347,27 +391,34 @@ def _build_prompts(
 
 def _generate_all(
     config: RunConfig, prompts: Sequence[generation.Prompt]
-) -> list[generation.Explanation]:
+) -> Iterable[generation.Explanation]:
+    """Explanations in prompt order: a list from the mock, and from a remote
+    endpoint a lazy stream whose failures name stage 'generate'. Scoring reads
+    the stream, so requests for later prompts overlap the scoring of earlier
+    explanations."""
     if config.mock_llm:
         echo, blind = generation.MockStyle.EVIDENCE_ECHOING, generation.MockStyle.EVIDENCE_BLIND
         return [
             generation.mock_generate(p, echo if p.condition.wants_evidence else blind)
             for p in prompts
         ]
-    return generation.generate_many(config.llm, prompts)
+    return _staged("generate", generation.generate_many(config.llm, prompts))
 
 
 def _score_all(
     config: RunConfig,
-    explanations: Sequence[generation.Explanation],
+    explanations: Iterable[generation.Explanation],
     evidence_by_id: Mapping[str, attribution.EvidenceSet],
 ) -> list[evaluation.MessageMetrics]:
+    """Metrics in input order; `explanations` is read once, by the NLI scorer."""
+    received: list[generation.Explanation] = []
+    stream = _recorded(explanations, received)
     if config.mock_nli:
-        all_scores = [evaluation.mock_score_nli(e) for e in explanations]
+        all_scores = [evaluation.mock_score_nli(e) for e in stream]
     else:
-        all_scores = evaluation.score_nli_many(config.nli, explanations)
+        all_scores = evaluation.score_nli_many(config.nli, stream)
     metrics = []
-    for explanation, scores in zip(explanations, all_scores):
+    for explanation, scores in zip(received, all_scores):
         faith = None
         if explanation.condition.wants_evidence:
             faith = evaluation.faithfulness(evidence_by_id[explanation.message_id], explanation)
@@ -394,8 +445,10 @@ def _predict(
 
 def _explain(
     config: RunConfig, model: detector.DetectorModel, messages: corpus.MessageSet, out: Path
-) -> tuple[dict[str, attribution.EvidenceSet], int, list[generation.Explanation]]:
-    """Returns evidence by message id, the empty-evidence count and the explanations."""
+) -> tuple[dict[str, attribution.EvidenceSet], int, Iterable[generation.Explanation]]:
+    """Returns evidence by message id, the empty-evidence count and the
+    explanations, which a remote generator yields as a lazy stream (see
+    `_generate_all`)."""
     with_evidence, dropped = _stage("attribution", _compute_evidence, config, model, messages)
     if not with_evidence:
         raise ConfigError("every message to explain produced an empty evidence set")
@@ -405,14 +458,16 @@ def _explain(
     )
     prompts = _stage("prompts", _build_prompts, config, with_evidence)
     explanations = _stage("generate", _generate_all, config, prompts)
-    records = map(generation.explanation_to_record, explanations)
-    corpus.write_jsonl(out / "explanations.jsonl", records)
     return {message.id: evidence for message, evidence in with_evidence}, dropped, explanations
+
+
+def _write_explanations(explanations: Iterable[generation.Explanation], out: Path) -> None:
+    corpus.write_jsonl(out / "explanations.jsonl", map(generation.explanation_to_record, explanations))
 
 
 def _evaluate(
     config: RunConfig,
-    explanations: Sequence[generation.Explanation],
+    explanations: Iterable[generation.Explanation],
     evidence_by_id: Mapping[str, attribution.EvidenceSet],
     path: Path,
 ) -> list[evaluation.MessageMetrics]:
@@ -457,8 +512,14 @@ def run_pipeline(config: RunConfig, allow_train: bool) -> Path:
     subset = _stage("subset", _explanation_subset, config, filtered)
     corpus.save_jsonl(subset, out / "subset.jsonl")
 
-    evidence_by_id, dropped, explanations = _explain(config, model, subset, out)
-    metrics = _evaluate(config, explanations, evidence_by_id, out / "metrics.jsonl")
+    # Scoring reads the generated explanations as they arrive; they are
+    # written once every one of them has been scored.
+    evidence_by_id, dropped, generated = _explain(config, model, subset, out)
+    explanations: list[generation.Explanation] = []
+    metrics = _evaluate(
+        config, _recorded(generated, explanations), evidence_by_id, out / "metrics.jsonl"
+    )
+    _write_explanations(explanations, out)
     _report(metrics, out)
 
     manifest = {
@@ -580,7 +641,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     out = _resolve_out_dir(config.out_dir)
     messages = corpus.load_jsonl(args.corpus)
     model = detector.load_model(args.model)
-    evidence_by_id, dropped, _ = _explain(config, model, messages, out)
+    evidence_by_id, dropped, generated = _explain(config, model, messages, out)
+    _write_explanations(list(generated), out)
     print(f"explained {len(evidence_by_id)} messages ({dropped} dropped for empty evidence)")
     return 0
 
@@ -684,7 +746,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except (
-        RuntimeError,  # stage failures, which carry the stage name
+        StageError,
         ConfigError,
         corpus.CorpusError,
         detector.DetectorError,

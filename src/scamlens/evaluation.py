@@ -24,7 +24,7 @@ import string
 from dataclasses import dataclass, field
 from functools import lru_cache
 from statistics import mean, stdev
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from . import lexicon
 from .attribution import EvidenceSet
@@ -196,9 +196,11 @@ def score_nli(config: EndpointConfig, explanation: Explanation) -> NliScores:
     )
 
 
-def score_nli_many(config: EndpointConfig, explanations: Sequence[Explanation]) -> list[NliScores]:
-    """Scores for `explanations`, in input order (see `generation.run_batch`)."""
-    return run_batch(score_nli, config, explanations)
+def score_nli_many(config: EndpointConfig, explanations: Iterable[Explanation]) -> list[NliScores]:
+    """Scores for `explanations`, in input order (see `generation.run_batch`).
+    `explanations` may be a lazy stream, such as `generation.generate_many`'s:
+    each is scored as soon as it is read."""
+    return list(run_batch(score_nli, config, explanations))
 
 
 # Fixed simplex points for the offline scorer, keyed by how many distinct

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
 
 import requests
 
@@ -213,7 +214,8 @@ def evidence_phrases_from_prompt(prompt: Prompt) -> list[str]:
 # Remote client
 # ---------------------------------------------------------------------------
 
-# Concurrent requests per batch, shared by generation and NLI scoring.
+# Concurrent requests per batch. Generation and NLI scoring each run one
+# batch, so each endpoint sees at most this many at once.
 MAX_IN_FLIGHT = 4
 
 _Item = TypeVar("_Item")
@@ -241,15 +243,18 @@ def post_json_with_retry(
     decoded JSON body. The one request path of both remote clients.
 
     Timeouts, connection errors, 429 and 5xx are retried with exponential
-    backoff. Any other non-2xx status raises at once, naming the status: auth
-    failures (401/403) as AuthError, the rest as TransportError. Every failure
-    is a TransportError that names the URL.
+    backoff; a 429 or 503 whose Retry-After header gives delta-seconds waits
+    that long instead (an HTTP-date keeps the backoff). Any other non-2xx
+    status raises at once, naming the status: auth failures (401/403) as
+    AuthError, the rest as TransportError. Every failure is a TransportError
+    that names the URL.
     """
     url = config.base_url.rstrip("/") + path
     headers = auth_headers(config)
     attempts = config.max_retries + 1
     last_failure: TransportError | None = None
     for attempt in range(attempts):
+        delay = config.backoff_base * (2**attempt)
         try:
             response = requests.post(url, json=payload, headers=headers, timeout=config.timeout)
         except requests.Timeout as exc:
@@ -260,6 +265,9 @@ def post_json_with_retry(
         else:
             if response.status_code in (401, 403):
                 raise AuthError(f"{url}: authentication rejected ({response.status_code})")
+            retry_after = response.headers.get("Retry-After", "").strip()
+            if response.status_code in (429, 503) and retry_after.isdecimal():
+                delay = int(retry_after)
             if response.status_code == 429:
                 last_failure = RateLimitedError(f"{url}: rate limited (429)")
             elif response.status_code >= 500:
@@ -272,28 +280,43 @@ def post_json_with_retry(
                 except ValueError as exc:
                     raise TransportError(f"{url}: response body is not JSON ({exc})") from None
         if attempt < attempts - 1:
-            time.sleep(config.backoff_base * (2**attempt))
+            time.sleep(delay)
     assert last_failure is not None
     raise last_failure
 
 
 def run_batch(
-    call: Callable[[Any, _Item], _Result], config: EndpointConfig, items: Sequence[_Item]
-) -> list[_Result]:
-    """`call(config, item)` for every item, at most MAX_IN_FLIGHT at a time.
+    call: Callable[[Any, _Item], _Result], config: EndpointConfig, items: Iterable[_Item]
+) -> Iterator[_Result]:
+    """Yield `call(config, item)` for every item, in input order, never in
+    completion order.
 
-    Results follow input order, never completion order. The first failure
-    cancels every call that has not started and is raised once the running
-    calls finish, so a rejected key does not send the rest of the batch.
+    Items are read lazily, so `items` may itself be the stream of another
+    batch: after the first 2 * MAX_IN_FLIGHT, one item is read for each
+    result yielded, and at most MAX_IN_FLIGHT calls run at once on the
+    batch's own pool. The first failure, of a call or of `items`, cancels
+    every call that has not started; it is raised once the running calls
+    finish, and `items` is then closed, which cancels an upstream batch the
+    same way. Closing the stream early does the same without raising.
     """
-    with ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT) as pool:
-        futures = [pool.submit(call, config, item) for item in items]
-        _, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-        for future in not_done:
-            future.cancel()
-        # The pool starts calls in input order, so every cancelled call comes
-        # after the failed one, and reading in order raises a failure first.
-        return [future.result() for future in futures]
+    source = iter(items)
+    pool = ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT)
+    # Up to MAX_IN_FLIGHT calls wait queued behind the running ones, so a
+    # worker that finishes starts the next call at once while the batch still
+    # waits for an older, slower result (a retried one, say).
+    pending: deque[Future] = deque()
+    try:
+        for item in source:
+            pending.append(pool.submit(call, config, item))
+            if len(pending) == 2 * MAX_IN_FLIGHT:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+        close = getattr(source, "close", None)
+        if close is not None:
+            close()
 
 
 def generate(config: LlmClientConfig, prompt: Prompt) -> Explanation:
@@ -323,8 +346,9 @@ def generate(config: LlmClientConfig, prompt: Prompt) -> Explanation:
     )
 
 
-def generate_many(config: LlmClientConfig, prompts: Sequence[Prompt]) -> list[Explanation]:
-    """Explanations for `prompts`, in prompt order (see `run_batch`)."""
+def generate_many(config: LlmClientConfig, prompts: Iterable[Prompt]) -> Iterator[Explanation]:
+    """The stream of explanations for `prompts`, in prompt order (see
+    `run_batch`). No request is sent before the stream is read."""
     return run_batch(generate, config, prompts)
 
 

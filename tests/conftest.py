@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -67,16 +68,22 @@ def frozen_model(trained_model) -> detector.DetectorModel:
 class ScriptedServer:
     """Local HTTP server that answers POSTs from a scripted response list.
 
-    Each script entry is a dict with optional keys: status (default 200),
-    body (dict or callable(path, request_body) -> dict), raw (bytes sent
-    as the body in place of `body`), delay (seconds).
+    Each script entry is a dict with optional keys: status (default 200, or
+    callable(path) -> int), body (dict or callable(path, request_body) ->
+    dict), raw (bytes sent as the body in place of `body`), headers (extra
+    response headers), delay (seconds).
     The last entry repeats once the script is exhausted. Every request is
-    recorded as (path, headers, parsed body).
+    recorded as (path, headers, parsed body). `events` lists ("request", path)
+    when a request arrives and ("answer", path) just before its answer is
+    sent, in that order; `peak_in_flight` counts the most requests open at once per path.
     """
 
     def __init__(self) -> None:
         self.script: list[dict] = []
         self.requests: list[tuple[str, dict, dict]] = []
+        self.events: list[tuple[str, str]] = []
+        self.peak_in_flight: Counter[str] = Counter()
+        self._in_flight: Counter[str] = Counter()
         self._lock = threading.Lock()
         self._cursor = 0
 
@@ -91,16 +98,29 @@ class ScriptedServer:
                     entry = server.script[min(server._cursor, len(server.script) - 1)]
                     server._cursor += 1
                     server.requests.append((self.path, dict(self.headers), body))
+                    server.events.append(("request", self.path))
+                    server._in_flight[self.path] += 1
+                    server.peak_in_flight[self.path] = max(
+                        server.peak_in_flight[self.path], server._in_flight[self.path]
+                    )
                 if entry.get("delay"):
                     time.sleep(entry["delay"])
+                status = entry.get("status", 200)
+                if callable(status):
+                    status = status(self.path)
                 payload = entry.get("body", {})
                 if callable(payload):
                     payload = payload(self.path, body)
                 data = entry["raw"] if "raw" in entry else json.dumps(payload).encode("utf-8")
+                with server._lock:
+                    server._in_flight[self.path] -= 1
+                    server.events.append(("answer", self.path))
                 try:
-                    self.send_response(entry.get("status", 200))
+                    self.send_response(status)
                     self.send_header("Content-Type", "application/json")
                     self.send_header("Content-Length", str(len(data)))
+                    for name, value in entry.get("headers", {}).items():
+                        self.send_header(name, value)
                     self.end_headers()
                     self.wfile.write(data)
                 except (BrokenPipeError, ConnectionResetError):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+from datetime import datetime
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,7 @@ from scamlens import cli, corpus, detector, evaluation
 from scamlens.attribution import AttributionConfig, EvidenceSet
 from scamlens.cli import ConfigError, interpolate_env, load_run_config, parse_conditions
 from scamlens.evaluation import EvaluationConfig
-from scamlens.generation import Condition, Explanation, GeneratorKind
+from scamlens.generation import MAX_IN_FLIGHT, Condition, Explanation, GeneratorKind
 
 ARTIFACTS = (
     "corpus.jsonl",
@@ -224,6 +226,26 @@ class TestPipelineCommand:
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_DIGESTS}
         assert digests == GOLDEN_DIGESTS
 
+    def test_runs_in_the_same_second_get_their_own_directories(
+        self, tmp_path, frozen_model, monkeypatch
+    ):
+        class FrozenDatetime(datetime):
+            @classmethod
+            def now(cls, tz=None):
+                return datetime(2026, 1, 2, 3, 4, 5, tzinfo=tz)
+
+        monkeypatch.setattr(cli, "datetime", FrozenDatetime)
+        monkeypatch.chdir(tmp_path)
+        model_path = tmp_path / "model.json"
+        detector.save_model(frozen_model, model_path)
+        config = write_config(tmp_path, model_path=str(model_path))
+        for _ in range(2):
+            assert cli.main(["pipeline", "--config", str(config), "--mock"]) == 0
+        runs = sorted(p.name for p in (tmp_path / "runs").iterdir())
+        assert runs == ["20260102T030405Z", "20260102T030405Z-1"]
+        for name in runs:
+            assert (tmp_path / "runs" / name / "manifest.json").exists()
+
     def test_missing_model_without_train_flag_fails(self, tmp_path, capsys):
         config = write_config(tmp_path, model_path=str(tmp_path / "missing-model.json"))
         rc = cli.main(
@@ -388,6 +410,95 @@ class TestPipelineCommand:
             "xai_only",
             "xai_low_vulnerability",
         ]
+
+
+def _stub_answer(path, body):
+    if path == "/chat/completions":
+        return {"choices": [{"message": {"content": "This urgent link is a scam. Do not click it."}}]}
+    return {"entailment": 0.7, "neutral": 0.2, "contradiction": 0.1}
+
+
+class TestRemoteOverlap:
+    """Generation and scoring run at once against one ScriptedServer, which
+    serves both endpoints and tells them apart by path."""
+
+    @staticmethod
+    def _run(tmp_path, frozen_model, stub_server, monkeypatch, status=200):
+        monkeypatch.setenv("STUB_LLM_KEY", "k1")
+        model_path = tmp_path / "model.json"
+        detector.save_model(frozen_model, model_path)
+        stub_server.script = [{"status": status, "body": _stub_answer, "delay": 0.01}]
+        endpoint = {"base_url": stub_server.url, "max_retries": 0, "timeout": 10}
+        config = write_config(
+            tmp_path,
+            model_path=str(model_path),
+            llm={**endpoint, "model_name": "stub-model", "api_key_env_var": "STUB_LLM_KEY"},
+            nli=endpoint,
+        )
+        out = tmp_path / "run"
+        return cli.main(["pipeline", "--config", str(config), "--out", str(out)]), out
+
+    @staticmethod
+    def _count(stub_server, path):
+        return sum(1 for p, _, _ in stub_server.requests if p == path)
+
+    def test_scoring_starts_before_generation_ends_and_keeps_input_order(
+        self, tmp_path, frozen_model, stub_server, monkeypatch
+    ):
+        rc, out = self._run(tmp_path, frozen_model, stub_server, monkeypatch)
+        assert rc == 0
+        assert stub_server.peak_in_flight["/chat/completions"] == MAX_IN_FLIGHT
+        assert stub_server.peak_in_flight["/nli"] <= MAX_IN_FLIGHT
+        events = stub_server.events
+        first_nli = events.index(("request", "/nli"))
+        last_chat_answer = max(i for i, e in enumerate(events) if e == ("answer", "/chat/completions"))
+        assert first_nli < last_chat_answer
+
+        subset = [json.loads(l)["id"] for l in (out / "subset.jsonl").read_text().splitlines()]
+        expected = [(mid, c.value) for c in evaluation.REPORT_CONDITION_ORDER for mid in subset]
+        rows = {
+            name: [json.loads(l) for l in (out / name).read_text().splitlines()]
+            for name in ("explanations.jsonl", "metrics.jsonl")
+        }
+        for name, records in rows.items():
+            assert [(r["message_id"], r["condition"]) for r in records] == expected, name
+        assert self._count(stub_server, "/nli") == self._count(stub_server, "/chat/completions") == len(expected)
+
+    def test_rejected_scoring_key_stops_generation(
+        self, tmp_path, frozen_model, stub_server, monkeypatch, capsys
+    ):
+        rc, out = self._run(
+            tmp_path, frozen_model, stub_server, monkeypatch,
+            status=lambda path: 401 if path == "/nli" else 200,
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'evaluate' failed:") and "401" in err
+        explained = len((out / "evidence.jsonl").read_text().splitlines())
+        # A batch reads at most 2 * MAX_IN_FLIGHT items before it waits for
+        # its first result, so scoring sends at most that many requests and
+        # generation at most that many more than scoring has read.
+        assert self._count(stub_server, "/nli") <= 2 * MAX_IN_FLIGHT
+        assert self._count(stub_server, "/chat/completions") <= 4 * MAX_IN_FLIGHT < 4 * explained
+        assert not (out / "metrics.jsonl").exists()
+        assert not (out / "explanations.jsonl").exists()
+
+    def test_rejected_generation_key_mid_batch_names_generate(
+        self, tmp_path, frozen_model, stub_server, monkeypatch, capsys
+    ):
+        chat_requests = itertools.count(1)
+
+        def status(path):
+            if path == "/chat/completions" and next(chat_requests) > 3 * MAX_IN_FLIGHT:
+                return 401
+            return 200
+
+        rc, out = self._run(tmp_path, frozen_model, stub_server, monkeypatch, status=status)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'generate' failed:") and "401" in err
+        assert self._count(stub_server, "/nli") >= 1
+        assert not (out / "metrics.jsonl").exists()
 
 
 class TestStageCommands:

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import json
 import string
+import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scamlens import generation
 from scamlens.attribution import EvidenceSet
 from scamlens.corpus import FormattedText
 from scamlens.evaluation import fkgl
@@ -32,6 +35,7 @@ from scamlens.generation import (
     generate,
     generate_many,
     mock_generate,
+    run_batch,
 )
 from scamlens.persona import VulnerabilityLevel, build_instruction, persona_from_vulnerability
 
@@ -223,6 +227,29 @@ class TestRemoteClient:
             generate(client_config(stub_server.url, max_retries=2), prompt)
         assert len(stub_server.requests) == 3
 
+    @pytest.mark.parametrize(
+        "status, retry_after, slept",
+        [
+            (503, "2", [2]),
+            (429, " 0 ", [0]),
+            # An HTTP-date, or the header on another status, keeps the backoff.
+            (503, "Wed, 21 Oct 2015 07:28:00 GMT", [0.01]),
+            (500, "7", [0.01]),
+        ],
+    )
+    def test_retry_after_seconds_replace_the_backoff_step(
+        self, stub_server, monkeypatch, status, retry_after, slept
+    ):
+        sleeps = []
+        monkeypatch.setattr(generation, "time", SimpleNamespace(sleep=sleeps.append))
+        stub_server.script = [
+            {"status": status, "body": {}, "headers": {"Retry-After": retry_after}},
+            {"status": 200, "body": self._completion()},
+        ]
+        prompt = build_prompt(Condition.PURE_LLM, MESSAGE, message_id="m1")
+        assert generate(client_config(stub_server.url, backoff_base=0.01), prompt).text
+        assert sleeps == slept
+
     def test_auth_failure_is_not_retried(self, stub_server):
         stub_server.script = [{"status": 401, "body": {}}]
         prompt = build_prompt(Condition.PURE_LLM, MESSAGE, message_id="m1")
@@ -298,7 +325,7 @@ class TestRemoteClient:
             )
             for i in range(4)
         ]
-        out = generate_many(client_config(stub_server.url), prompts)
+        out = list(generate_many(client_config(stub_server.url), prompts))
         assert [e.message_id for e in out] == ["m0", "m1", "m2", "m3"]
         assert [e.text for e in out] == [f"about <SMS> text-{i}" for i in range(4)]
 
@@ -308,8 +335,87 @@ class TestRemoteClient:
             build_prompt(Condition.PURE_LLM, MESSAGE, message_id=f"m{i}") for i in range(40)
         ]
         with pytest.raises(AuthError):
-            generate_many(client_config(stub_server.url), prompts)
+            list(generate_many(client_config(stub_server.url), prompts))
         assert len(stub_server.requests) <= 2 * MAX_IN_FLIGHT
+
+
+class TestRunBatch:
+    """`run_batch` against an in-process call, so reads and calls are countable."""
+
+    @staticmethod
+    def _counted(n, read, closed):
+        try:
+            for i in range(n):
+                read.append(i)
+                yield i
+        finally:
+            closed.append(True)
+
+    def test_streams_in_input_order_reading_items_lazily(self):
+        read, closed = [], []
+        lock = threading.Lock()
+        running, peak = [0], [0]
+
+        def call(config, i):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            # Later items finish first, so completion order is reversed.
+            time.sleep(0.002 * (12 - i % 12))
+            with lock:
+                running[0] -= 1
+            return i * 10
+
+        stream = run_batch(call, None, self._counted(40, read, closed))
+        assert read == []
+        assert next(stream) == 0
+        assert len(read) <= 2 * MAX_IN_FLIGHT
+        assert [0, *stream] == [i * 10 for i in range(40)]
+        assert peak[0] <= MAX_IN_FLIGHT
+        assert closed == [True]
+
+    def test_first_failure_cancels_unstarted_calls_and_closes_the_input(self):
+        read, closed, called = [], [], []
+
+        def call(config, i):
+            called.append(i)
+            time.sleep(0.01)
+            if i == 2:
+                raise TransportError("item 2 failed")
+            return i
+
+        stream = run_batch(call, None, self._counted(100, read, closed))
+        assert next(stream) == 0
+        assert next(stream) == 1
+        with pytest.raises(TransportError, match="item 2"):
+            next(stream)
+        assert closed == [True]
+        assert len(called) <= 3 * MAX_IN_FLIGHT
+        assert len(read) <= 3 * MAX_IN_FLIGHT
+
+    def test_a_failing_input_stream_is_raised_after_the_running_calls(self):
+        finished = []
+
+        def items():
+            yield from range(3)
+            raise ValueError("upstream failed")
+
+        def call(config, i):
+            time.sleep(0.01)
+            finished.append(i)
+            return i
+
+        with pytest.raises(ValueError, match="upstream"):
+            list(run_batch(call, None, items()))
+        assert sorted(finished) == [0, 1, 2]
+
+    def test_closing_the_stream_early_closes_the_input(self):
+        read, closed = [], []
+        stream = run_batch(lambda config, i: i, None, self._counted(100, read, closed))
+        assert next(stream) == 0
+        stream.close()
+        assert closed == [True]
+        assert len(read) <= 2 * MAX_IN_FLIGHT
 
 
 explanations = st.builds(
