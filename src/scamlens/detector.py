@@ -16,11 +16,14 @@ so dz/dx_i = (1/n) W1 (w2 * act'(h)) for every position i.
 
 Training is full-batch gradient descent with early stopping on validation
 macro F1; there is no minibatch shuffling, so a (config, seed) pair always
-yields identical weights.
+yields identical weights. Training holds the (N, V) bag matrix in sparse
+form, so its memory is O(nnz * d) for nnz distinct (message, piece) pairs,
+never O(N * V).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import Counter
@@ -127,17 +130,21 @@ def build_vocab(corpus: MessageSet, max_size: int) -> Vocab:
     """
     if len(corpus) == 0:
         raise CorpusEmptyError("cannot build a vocabulary from an empty corpus")
+    words: Counter[str] = Counter()
+    for message in corpus:
+        words.update(format_input(message).text.split())
+    lowered: Counter[str] = Counter()
+    for word, count in words.items():
+        if word not in MARKER_TOKENS:
+            lowered[word.lower()] += count
+    # Each distinct word adds its n-grams once, weighted by its count.
     counts: Counter[str] = Counter()
     chars: set[str] = set()
-    for message in corpus:
-        for word in format_input(message).text.split():
-            if word in MARKER_TOKENS:
-                continue
-            lowered = word.lower()
-            chars.update(lowered)
-            for n in range(1, MAX_NGRAM + 1):
-                for i in range(len(lowered) - n + 1):
-                    counts[lowered[i : i + n]] += 1
+    for word, count in lowered.items():
+        chars.update(word)
+        for n in range(1, MAX_NGRAM + 1):
+            for i in range(len(word) - n + 1):
+                counts[word[i : i + n]] += count
     minimum = len(SPECIAL_PIECES) + len(chars)
     if max_size < minimum:
         raise CorpusEmptyError(
@@ -201,18 +208,33 @@ def _segment_word(word: str, vocab: Vocab) -> list[int]:
     return ids
 
 
-def tokenize(text: FormattedText, vocab: Vocab, limit: int = DEFAULT_PIECE_LIMIT) -> TokenizedInput:
-    """Segment each whitespace word into pieces and record its word position."""
-    words = tuple(text.text.split())
+def _segment_words(
+    words: Sequence[str], vocab: Vocab, limit: int, memo: dict[str, list[int]]
+) -> tuple[list[int], list[int]]:
+    """Piece ids and their word positions, front-truncated to `limit` pieces.
+
+    `memo` maps each word segmented so far to its pieces, so a word is
+    segmented once however often it recurs while the memo lives.
+    """
     piece_ids: list[int] = []
     alignment: list[int] = []
     for word_pos, word in enumerate(words):
-        for piece_id in _segment_word(word, vocab):
+        pieces = memo.get(word)
+        if pieces is None:
+            pieces = memo[word] = _segment_word(word, vocab)
+        for piece_id in pieces:
             piece_ids.append(piece_id)
             alignment.append(word_pos)
     if len(piece_ids) > limit:
         piece_ids = truncate_front(piece_ids, limit)
         alignment = truncate_front(alignment, limit)
+    return piece_ids, alignment
+
+
+def tokenize(text: FormattedText, vocab: Vocab, limit: int = DEFAULT_PIECE_LIMIT) -> TokenizedInput:
+    """Segment each whitespace word into pieces and record its word position."""
+    words = tuple(text.text.split())
+    piece_ids, alignment = _segment_words(words, vocab, limit, {})
     return TokenizedInput(tuple(piece_ids), tuple(alignment), words)
 
 
@@ -393,15 +415,71 @@ class TrainConfig:
             raise ValueError("limit must be >= 1")
 
 
-def _bag_matrix(corpus: MessageSet, vocab: Vocab, limit: int) -> np.ndarray:
-    """(N, V) matrix of piece frequencies normalized so row @ E = pooled mean."""
-    bags = np.zeros((len(corpus), len(vocab)), dtype=np.float64)
-    for row, message in enumerate(corpus):
-        tokenized = tokenize(format_input(message), vocab, limit)
-        ids = np.asarray(tokenized.piece_ids, dtype=np.intp)
-        np.add.at(bags[row], ids, 1.0)
-        bags[row] /= len(ids)
-    return bags
+def _corpus_piece_ids(corpus: MessageSet, vocab: Vocab, limit: int) -> list[list[int]]:
+    """Each message's `tokenize(...).piece_ids`, segmenting each distinct word
+    once: the memo lives only for this call."""
+    memo: dict[str, list[int]] = {}
+    return [_segment_words(format_input(m).text.split(), vocab, limit, memo)[0] for m in corpus]
+
+
+@dataclass(frozen=True)
+class _Bags:
+    """Sparse (N, V) bag matrix B whose row i holds message i's piece
+    frequencies over its piece count, so B @ E is the mean-pooled input.
+
+    Entries are kept in row order (CSR: `indptr`, `ids`, `weights`) for
+    pooling, and in column order (`col_rows`, `col_weights`, grouped by
+    `col_starts` over the used ids `used`) for the embedding gradient B.T @ G.
+    Both products gather into a (d, nnz) array and sum runs along its
+    contiguous axis, so their cost and memory grow with nnz, not N x V.
+    Every row must hold at least one piece.
+    """
+
+    n_cols: int
+    indptr: np.ndarray
+    ids: np.ndarray
+    weights: np.ndarray
+    used: np.ndarray
+    col_starts: np.ndarray
+    col_rows: np.ndarray
+    col_weights: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence[int]], n_cols: int) -> "_Bags":
+        lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+        flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.intp, count=int(lengths.sum()))
+        row_of = np.repeat(np.arange(len(rows), dtype=np.intp), lengths)
+        keys, counts = np.unique(row_of * n_cols + flat, return_counts=True)
+        row, ids = np.divmod(keys, n_cols)
+        weights = counts / lengths[row]
+        indptr = np.zeros(len(rows) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(row, minlength=len(rows)), out=indptr[1:])
+        order = np.argsort(ids, kind="stable")
+        used, col_starts = np.unique(ids[order], return_index=True)
+        return cls(
+            n_cols=n_cols,
+            indptr=indptr,
+            ids=ids,
+            weights=weights,
+            used=used,
+            col_starts=col_starts,
+            col_rows=row[order],
+            col_weights=weights[order],
+        )
+
+    def pool(self, embedding: np.ndarray) -> np.ndarray:
+        """B @ embedding, shape (V, d) -> (N, d)."""
+        products = np.take(embedding.T, self.ids, axis=1)
+        products *= self.weights
+        return np.add.reduceat(products, self.indptr[:-1], axis=1).T
+
+    def pool_grad(self, d_pooled: np.ndarray) -> np.ndarray:
+        """B.T @ d_pooled, shape (N, d) -> (V, d); unused ids get zero rows."""
+        products = np.take(d_pooled.T, self.col_rows, axis=1)
+        products *= self.col_weights
+        grad = np.zeros((self.n_cols, d_pooled.shape[1]))
+        grad[self.used] = np.add.reduceat(products, self.col_starts, axis=1).T
+        return grad
 
 
 def _split_indices(
@@ -425,7 +503,8 @@ def train(corpus: MessageSet, config: TrainConfig) -> DetectorModel:
 
     Returns the best-validation checkpoint. Deterministic: weight
     init, the train/validation split, and the update schedule all derive from
-    config.seed.
+    config.seed. Each distinct word is segmented once per call, and the
+    split bags are sparse, so memory is O(nnz * d) rather than O(N * V).
     """
     label_values = {m.label for m in corpus}
     if len(label_values) < 2:
@@ -439,13 +518,14 @@ def train(corpus: MessageSet, config: TrainConfig) -> DetectorModel:
     out_w = rng.uniform(-0.1, 0.1, size=config.h)
     out_b = float(rng.uniform(-0.1, 0.1))
 
-    bags = _bag_matrix(corpus, vocab, config.limit)
+    piece_ids = _corpus_piece_ids(corpus, vocab, config.limit)
     y = np.array([1.0 if m.label is Label.SCAM else 0.0 for m in corpus])
     train_idx, val_idx = _split_indices(y, config.val_fraction, rng)
     if val_idx.size == 0:
         raise DetectorError("corpus too small to hold out a validation split")
-    bags_train, y_train = bags[train_idx], y[train_idx]
-    bags_val = bags[val_idx]
+    bags_train = _Bags.from_rows([piece_ids[i] for i in train_idx], len(vocab))
+    bags_val = _Bags.from_rows([piece_ids[i] for i in val_idx], len(vocab))
+    y_train = y[train_idx]
     val_labels = [Label.SCAM if y[i] == 1.0 else Label.HAM for i in val_idx]
 
     act, dact = ACTIVATIONS["tanh"]
@@ -454,7 +534,7 @@ def train(corpus: MessageSet, config: TrainConfig) -> DetectorModel:
     epochs_run = 0
     for _ in range(config.epochs):
         epochs_run += 1
-        pooled = bags_train @ embedding
+        pooled = bags_train.pool(embedding)
         hidden = act(pooled @ hidden_w + hidden_b)
         probs = _sigmoid(hidden @ out_w + out_b)
         dz = (probs - y_train) / len(y_train)
@@ -464,7 +544,7 @@ def train(corpus: MessageSet, config: TrainConfig) -> DetectorModel:
         d_hidden_w = pooled.T @ d_hidden
         d_hidden_b = d_hidden.sum(axis=0)
         d_pooled = d_hidden @ hidden_w.T
-        d_embedding = bags_train.T @ d_pooled
+        d_embedding = bags_train.pool_grad(d_pooled)
 
         embedding -= config.lr * d_embedding
         hidden_w -= config.lr * d_hidden_w
@@ -472,7 +552,7 @@ def train(corpus: MessageSet, config: TrainConfig) -> DetectorModel:
         out_w -= config.lr * d_out_w
         out_b -= config.lr * d_out_b
 
-        val_logits = act(bags_val @ embedding @ hidden_w + hidden_b) @ out_w + out_b
+        val_logits = act(bags_val.pool(embedding) @ hidden_w + hidden_b) @ out_w + out_b
         predicted = [Label.SCAM if z >= 0 else Label.HAM for z in val_logits]
         f1 = macro_f1(predicted, val_labels)
         if best is None or f1 > best[0]:

@@ -9,9 +9,10 @@ message that upstream stages already judged to be a scam.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
@@ -294,22 +295,41 @@ def run_batch(
     Items are read lazily, so `items` may itself be the stream of another
     batch: after the first 2 * MAX_IN_FLIGHT, one item is read for each
     result yielded, and at most MAX_IN_FLIGHT calls run at once on the
-    batch's own pool. The first failure, of a call or of `items`, cancels
-    every call that has not started; it is raised once the running calls
-    finish, and `items` is then closed, which cancels an upstream batch the
-    same way. Closing the stream early does the same without raising.
+    batch's own pool. The first failure, of a call in any position or of
+    `items`, stops the batch: no further item is read, and no call that has
+    not started sends anything. The earliest failure in input order is
+    raised once the running calls finish, and `items` is then closed, which
+    stops an upstream batch the same way. Closing the stream early does the
+    same without raising.
     """
     source = iter(items)
     pool = ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT)
+    failed = threading.Event()
+
+    def note_failure(future: Future) -> None:
+        if not future.cancelled() and future.exception() is not None:
+            failed.set()
+
+    def guarded(item: _Item) -> _Result:
+        # The pool starts calls in input order, so a call that sees the flag
+        # comes after the failed one, and its result is never read.
+        if failed.is_set():
+            raise CancelledError("an earlier call of the batch failed")
+        return call(config, item)
+
     # Up to MAX_IN_FLIGHT calls wait queued behind the running ones, so a
     # worker that finishes starts the next call at once while the batch still
     # waits for an older, slower result (a retried one, say).
     pending: deque[Future] = deque()
     try:
         for item in source:
-            pending.append(pool.submit(call, config, item))
+            future = pool.submit(guarded, item)
+            future.add_done_callback(note_failure)
+            pending.append(future)
             if len(pending) == 2 * MAX_IN_FLIGHT:
                 yield pending.popleft().result()
+            if failed.is_set():
+                break
         while pending:
             yield pending.popleft().result()
     finally:

@@ -31,8 +31,8 @@ ARTIFACTS = (
 # `write_config` values. A change that alters these bytes on purpose re-pins
 # them and says why.
 GOLDEN_DIGESTS = {
-    "predictions.jsonl": "e55b478bf77b899cd443e9935040b5dd39c2baa2c974ac3ddaa00d4d175bc6d7",
-    "evidence.jsonl": "402316eea4d8aaaebce124131c1551edaa6f5721370460dc5e3afc8e6c3c9aa9",
+    "predictions.jsonl": "42cd4e0fd91ef1f2decc20de70eb1d2a0b9a67c5a333c7cd38ba5f749f5f0772",
+    "evidence.jsonl": "a981af131fbf91ff5e3fab17f9a8fac6987bb1fb4f3020172f98be7dd0a51161",
     "explanations.jsonl": "40c29179b1ba9ffc77a8d9869cca4a5bba52da6d7701ec669cce5a62b74e154a",
     "metrics.jsonl": "d66a53443b8828022bd3e4323c68d430fdb9a91b142dda2258f8c65739987767",
     "report.json": "f7f7394622108a47bba9a06b5f7985f0a481bd277525a3fc0369aa47a5dbd7bf",
@@ -475,10 +475,11 @@ class TestRemoteOverlap:
         err = capsys.readouterr().err
         assert err.startswith("error: stage 'evaluate' failed:") and "401" in err
         explained = len((out / "evidence.jsonl").read_text().splitlines())
-        # A batch reads at most 2 * MAX_IN_FLIGHT items before it waits for
-        # its first result, so scoring sends at most that many requests and
-        # generation at most that many more than scoring has read.
-        assert self._count(stub_server, "/nli") <= 2 * MAX_IN_FLIGHT
+        # The first rejected scoring call stops its batch: only the calls
+        # already running send a request. A batch reads at most
+        # 2 * MAX_IN_FLIGHT items before it waits for its first result, so
+        # generation sends at most that many more than scoring has read.
+        assert self._count(stub_server, "/nli") <= MAX_IN_FLIGHT
         assert self._count(stub_server, "/chat/completions") <= 4 * MAX_IN_FLIGHT < 4 * explained
         assert not (out / "metrics.jsonl").exists()
         assert not (out / "explanations.jsonl").exists()

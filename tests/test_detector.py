@@ -1,14 +1,28 @@
 from __future__ import annotations
 
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_model, make_vocab, zero_model
-from scamlens.corpus import Channel, FormattedText, Label, Message, MessageSet
+from scamlens.corpus import (
+    MARKER_TOKENS,
+    Channel,
+    FormattedText,
+    Label,
+    Message,
+    MessageSet,
+    format_input,
+    synth_corpus,
+)
 from scamlens.detector import (
     CHECKPOINT_FORMAT,
+    MAX_NGRAM,
+    SPECIAL_PIECES,
     CheckpointFormatError,
     CorpusEmptyError,
     DetectorModel,
@@ -18,6 +32,9 @@ from scamlens.detector import (
     SingleClassCorpusError,
     TokenizedInput,
     TrainConfig,
+    Vocab,
+    _Bags,
+    _corpus_piece_ids,
     build_vocab,
     embed,
     grad_wrt_embeddings,
@@ -61,6 +78,129 @@ class TestBuildVocab:
         )
         with pytest.raises(CorpusEmptyError):
             build_vocab(ms, max_size=6)
+
+
+def reference_build_vocab(corpus: MessageSet, max_size: int) -> Vocab:
+    """The vocabulary as counted per word occurrence, one n-gram at a time."""
+    counts: Counter[str] = Counter()
+    chars: set[str] = set()
+    for message in corpus:
+        for word in format_input(message).text.split():
+            if word in MARKER_TOKENS:
+                continue
+            lowered = word.lower()
+            chars.update(lowered)
+            for n in range(1, MAX_NGRAM + 1):
+                for i in range(len(lowered) - n + 1):
+                    counts[lowered[i : i + n]] += 1
+    if max_size < len(SPECIAL_PIECES) + len(chars):
+        raise CorpusEmptyError("max_size below specials + alphabet")
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    singles = [p for p, _ in ranked if len(p) == 1]
+    multis = [p for p, _ in ranked if len(p) > 1]
+    budget = max_size - len(SPECIAL_PIECES) - len(singles)
+    return Vocab.from_pieces(SPECIAL_PIECES + tuple(singles) + tuple(multis[: max(budget, 0)]))
+
+
+# Short words over a tiny mixed-case alphabet repeat often; "İ" lower-cases
+# to two characters; marker tokens inside a body are not counted.
+vocab_words = st.one_of(
+    st.text(alphabet="abAB\u0130", min_size=1, max_size=5),
+    st.sampled_from(sorted(MARKER_TOKENS)),
+)
+
+
+@st.composite
+def vocab_messages(draw, index: int) -> Message:
+    channel = draw(st.sampled_from(Channel))
+    body = " ".join(draw(st.lists(vocab_words, min_size=1, max_size=12)))
+    subject = None
+    if channel is Channel.EMAIL and draw(st.booleans()):
+        subject = " ".join(draw(st.lists(vocab_words, min_size=1, max_size=4)))
+    return Message(id=f"m{index}", channel=channel, body=body, label=Label.HAM, subject=subject)
+
+
+vocab_corpora = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(*(vocab_messages(i) for i in range(n))).map(MessageSet)
+)
+
+
+class TestBuildVocabEquivalence:
+    @given(vocab_corpora, st.integers(1, 80))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_per_occurrence_count(self, corpus, max_size):
+        try:
+            expected = reference_build_vocab(corpus, max_size)
+        except CorpusEmptyError:
+            with pytest.raises(CorpusEmptyError):
+                build_vocab(corpus, max_size)
+            return
+        assert build_vocab(corpus, max_size).pieces == expected.pieces
+
+    def test_equals_the_per_occurrence_count_on_a_synthetic_corpus(self, small_corpus):
+        assert build_vocab(small_corpus, 600).pieces == reference_build_vocab(small_corpus, 600).pieces
+
+
+def dense_bags(rows, n_cols: int) -> np.ndarray:
+    """The (N, V) bag matrix as a dense array: piece counts over piece count."""
+    bags = np.zeros((len(rows), n_cols))
+    for row, ids in enumerate(rows):
+        np.add.at(bags[row], np.asarray(ids, dtype=np.intp), 1.0)
+        bags[row] /= len(ids)
+    return bags
+
+
+class TestBags:
+    def _check(self, rows, n_cols, seed=0):
+        rng = np.random.default_rng(seed)
+        bags = _Bags.from_rows(rows, n_cols)
+        dense = dense_bags(rows, n_cols)
+        embedding = rng.normal(size=(n_cols, 5))
+        d_pooled = rng.normal(size=(len(rows), 5))
+        np.testing.assert_allclose(bags.pool(embedding), dense @ embedding, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(bags.pool_grad(d_pooled), dense.T @ d_pooled, rtol=0, atol=1e-12)
+
+    def test_matches_dense_products_on_tokenized_messages(self):
+        # "zz" and "qqq" are never produced, so their gradient rows stay zero.
+        vocab = make_vocab("win", "ner", "zz", "qqq")
+        bodies = ["winner winner win", "a a a a b", "abc " * 40 + "winner"]
+        corpus = MessageSet(
+            tuple(
+                Message(id=f"m{i}", channel=Channel.SMS, body=body, label=Label.SCAM)
+                for i, body in enumerate(bodies)
+            )
+        )
+        rows = _corpus_piece_ids(corpus, vocab, limit=30)
+        assert len(rows[2]) == 30  # truncated past the limit
+        assert len(set(rows[0])) < len(rows[0])  # repeated pieces
+        bags = _Bags.from_rows(rows, len(vocab))
+        unused = sorted(set(range(len(vocab))) - set(bags.used.tolist()))
+        assert {vocab.index["zz"], vocab.index["qqq"]} <= set(unused)
+        self._check(rows, len(vocab))
+        assert not bags.pool_grad(np.ones((3, 2)))[unused].any()
+
+    @given(
+        st.integers(1, 30).flatmap(
+            lambda v: st.tuples(
+                st.just(v),
+                st.lists(st.lists(st.integers(0, v - 1), min_size=1, max_size=12), min_size=1, max_size=10),
+            )
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_dense_products_on_random_rows(self, shape_rows, seed):
+        n_cols, rows = shape_rows
+        self._check(rows, n_cols, seed)
+
+
+class TestTrainPieceIds:
+    @pytest.mark.parametrize("limit", [20, 512])
+    def test_equal_tokenize_for_every_message(self, small_corpus, limit):
+        vocab = build_vocab(small_corpus, 400)
+        expected = [list(tokenize(format_input(m), vocab, limit).piece_ids) for m in small_corpus]
+        assert _corpus_piece_ids(small_corpus, vocab, limit) == expected
+        assert any(len(ids) == limit for ids in expected) == (limit == 20)
 
 
 class TestTokenize:
@@ -248,6 +388,17 @@ class TestTrain:
         )
         with pytest.raises(DetectorError):
             train(ms, TrainConfig(seed=0))
+
+    def test_peak_memory_stays_below_one_dense_bag_matrix(self):
+        corpus = synth_corpus(seed=5, per_channel_per_label=100)
+        tracemalloc.start()
+        try:
+            model = train(corpus, TrainConfig(seed=5, epochs=3, patience=3, vocab_size=2000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(corpus) == 600
+        assert peak < len(corpus) * len(model.vocab) * np.dtype(np.float64).itemsize
 
     def test_generalizes_to_fresh_corpus(self, frozen_model):
         from scamlens.corpus import synth_corpus

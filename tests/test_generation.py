@@ -393,6 +393,29 @@ class TestRunBatch:
         assert len(called) <= 3 * MAX_IN_FLIGHT
         assert len(read) <= 3 * MAX_IN_FLIGHT
 
+    def test_a_failure_behind_a_slow_head_starts_no_more_calls(self):
+        read, closed, called = [], [], []
+        started = threading.Barrier(MAX_IN_FLIGHT)
+
+        def call(config, i):
+            called.append(i)
+            started.wait(timeout=5)
+            if i == 0:
+                time.sleep(0.2)
+            elif i == 1:
+                raise TransportError("item 1 failed")
+            else:
+                time.sleep(0.01)
+            return i
+
+        stream = run_batch(call, None, self._counted(100, read, closed))
+        assert next(stream) == 0
+        with pytest.raises(TransportError, match="item 1"):
+            next(stream)
+        assert sorted(called) == list(range(MAX_IN_FLIGHT))
+        assert len(read) <= 2 * MAX_IN_FLIGHT
+        assert closed == [True]
+
     def test_a_failing_input_stream_is_raised_after_the_running_calls(self):
         finished = []
 
