@@ -14,7 +14,7 @@ from .corpus import Channel, Label, Message, MessageSet, format_input, synth_cor
 from .detector import DetectorModel, TrainConfig, macro_f1, train
 from .evaluation import EvaluationConfig, MetricReport, correctness, faithfulness, fkgl
 from .generation import Condition, Explanation, Prompt, build_prompt, mock_generate
-from .persona import Persona, VulnerabilityLevel, build_instruction, persona_from_vulnerability
+from .persona import VulnerabilityLevel, build_instruction
 
 __all__ = [
     "__version__",
@@ -29,7 +29,6 @@ __all__ = [
     "Message",
     "MessageSet",
     "MetricReport",
-    "Persona",
     "Prompt",
     "TrainConfig",
     "VulnerabilityLevel",
@@ -43,7 +42,6 @@ __all__ = [
     "gradient_shap",
     "macro_f1",
     "mock_generate",
-    "persona_from_vulnerability",
     "synth_corpus",
     "train",
 ]

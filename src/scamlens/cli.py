@@ -73,7 +73,7 @@ class RunConfig:
     train: dict[str, Any] = dataclasses.field(default_factory=dict)
     sample_fraction: float = 0.10
     sample_seed: int = 0
-    conditions: tuple[generation.Condition, ...] = evaluation.REPORT_CONDITION_ORDER
+    conditions: tuple[generation.Condition, ...] = tuple(generation.Condition)
     llm: generation.LlmClientConfig | None = None
     nli: generation.EndpointConfig | None = None
     mock_llm: bool = False
@@ -294,22 +294,17 @@ def _load_corpus(config: RunConfig) -> corpus.MessageSet:
     return corpus.synth_corpus(config.synth_seed, config.synth_per_stratum)
 
 
-def _check_generator(config: RunConfig) -> None:
-    """A remote generator needs its endpoint and, if the config names one, its key."""
-    if config.mock_llm:
-        return
-    if config.llm is None:
-        raise ConfigError("remote generation needs llm.base_url and llm.model_name, or --mock")
-    generation.auth_headers(config.llm)
+_GENERATOR_MISSING = "remote generation needs llm.base_url and llm.model_name, or --mock"
+_SCORER_MISSING = "remote scoring needs nli.base_url, or --mock"
 
 
-def _check_scorer(config: RunConfig) -> None:
-    """A remote scorer needs its endpoint and, if the config names one, its key."""
-    if config.mock_nli:
+def _check_endpoint(mock: bool, endpoint: generation.EndpointConfig | None, missing: str) -> None:
+    """Unless mocked, the endpoint must be configured and have its key, if it names one."""
+    if mock:
         return
-    if config.nli is None:
-        raise ConfigError("remote scoring needs nli.base_url, or --mock")
-    generation.auth_headers(config.nli)
+    if endpoint is None:
+        raise ConfigError(missing)
+    generation.auth_headers(endpoint)
 
 
 def _load_or_train_model(
@@ -357,7 +352,7 @@ def _compute_evidence(
     return kept, len(messages) - len(kept)
 
 
-# explain-one's --persona values; "high" and "low" are persona.VulnerabilityLevel values.
+# explain-one's --persona values.
 _PERSONA_CONDITIONS = {
     "high": generation.Condition.XAI_HIGH_VULNERABILITY,
     "low": generation.Condition.XAI_LOW_VULNERABILITY,
@@ -369,19 +364,11 @@ def _build_prompts(
     config: RunConfig,
     with_evidence: Sequence[tuple[corpus.Message, attribution.EvidenceSet]],
 ) -> list[generation.Prompt]:
-    instructions = {
-        condition: persona.build_instruction(
-            persona.persona_from_vulnerability(persona.VulnerabilityLevel(flag))
-        )
-        for flag, condition in _PERSONA_CONDITIONS.items()
-        if condition.wants_persona
-    }
     return [
         generation.build_prompt(
             condition,
             corpus.format_input(message),
             evidence if condition.wants_evidence else None,
-            instructions.get(condition),
             message_id=message.id,
         )
         for condition in config.conditions
@@ -397,11 +384,7 @@ def _generate_all(
     the stream, so requests for later prompts overlap the scoring of earlier
     explanations."""
     if config.mock_llm:
-        echo, blind = generation.MockStyle.EVIDENCE_ECHOING, generation.MockStyle.EVIDENCE_BLIND
-        return [
-            generation.mock_generate(p, echo if p.condition.wants_evidence else blind)
-            for p in prompts
-        ]
+        return [generation.mock_generate(p) for p in prompts]
     return _staged("generate", generation.generate_many(config.llm, prompts))
 
 
@@ -409,29 +392,27 @@ def _score_all(
     config: RunConfig,
     explanations: Iterable[generation.Explanation],
     evidence_by_id: Mapping[str, attribution.EvidenceSet],
-) -> list[evaluation.MessageMetrics]:
-    """Metrics in input order; `explanations` is read once, by the NLI scorer."""
+) -> tuple[list[generation.Explanation], list[evaluation.MessageMetrics]]:
+    """The explanations, read once by the NLI scorer, and their metrics, in input order."""
     received: list[generation.Explanation] = []
     stream = _recorded(explanations, received)
     if config.mock_nli:
         all_scores = [evaluation.mock_score_nli(e) for e in stream]
     else:
         all_scores = evaluation.score_nli_many(config.nli, stream)
-    metrics = []
-    for explanation, scores in zip(received, all_scores):
-        faith = None
-        if explanation.condition.wants_evidence:
-            faith = evaluation.faithfulness(evidence_by_id[explanation.message_id], explanation)
-        metrics.append(
-            evaluation.MessageMetrics(
-                message_id=explanation.message_id,
-                condition=explanation.condition,
-                correctness=evaluation.correctness(scores, config.evaluation),
-                fkgl=evaluation.fkgl(explanation.text).fkgl,
-                faithfulness=faith,
-            )
+    metrics = [
+        evaluation.MessageMetrics(
+            message_id=e.message_id,
+            condition=e.condition,
+            correctness=evaluation.correctness(scores, config.evaluation),
+            fkgl=evaluation.fkgl(e.text).fkgl,
+            faithfulness=evaluation.faithfulness(evidence_by_id[e.message_id], e)
+            if e.condition.wants_evidence
+            else None,
         )
-    return metrics
+        for e, scores in zip(received, all_scores)
+    ]
+    return received, metrics
 
 
 def _predict(
@@ -470,10 +451,10 @@ def _evaluate(
     explanations: Iterable[generation.Explanation],
     evidence_by_id: Mapping[str, attribution.EvidenceSet],
     path: Path,
-) -> list[evaluation.MessageMetrics]:
-    metrics = _stage("evaluate", _score_all, config, explanations, evidence_by_id)
+) -> tuple[list[generation.Explanation], list[evaluation.MessageMetrics]]:
+    received, metrics = _stage("evaluate", _score_all, config, explanations, evidence_by_id)
     corpus.write_jsonl(path, map(evaluation.metrics_to_record, metrics))
-    return metrics
+    return received, metrics
 
 
 def _report(metrics: Sequence[evaluation.MessageMetrics], out: Path) -> str:
@@ -488,8 +469,8 @@ def _report(metrics: Sequence[evaluation.MessageMetrics], out: Path) -> str:
 
 
 def run_pipeline(config: RunConfig, allow_train: bool) -> Path:
-    _check_generator(config)
-    _check_scorer(config)
+    _check_endpoint(config.mock_llm, config.llm, _GENERATOR_MISSING)
+    _check_endpoint(config.mock_nli, config.nli, _SCORER_MISSING)
     if not allow_train and not (config.model_path and Path(config.model_path).exists()):
         raise ConfigError(
             f"model_path {config.model_path!r} names no checkpoint; pass --train to fit one"
@@ -515,10 +496,7 @@ def run_pipeline(config: RunConfig, allow_train: bool) -> Path:
     # Scoring reads the generated explanations as they arrive; they are
     # written once every one of them has been scored.
     evidence_by_id, dropped, generated = _explain(config, model, subset, out)
-    explanations: list[generation.Explanation] = []
-    metrics = _evaluate(
-        config, _recorded(generated, explanations), evidence_by_id, out / "metrics.jsonl"
-    )
+    explanations, metrics = _evaluate(config, generated, evidence_by_id, out / "metrics.jsonl")
     _write_explanations(explanations, out)
     _report(metrics, out)
 
@@ -537,6 +515,7 @@ def run_pipeline(config: RunConfig, allow_train: bool) -> Path:
         "sample_fraction": config.sample_fraction,
         "conditions": [c.value for c in config.conditions],
         "stopwords_version": lexicon.STOPWORDS_VERSION,
+        "phrase_bank_version": persona.PHRASE_BANK_VERSION,
         "model_path": str(model_path),
         "empty_evidence_dropped": dropped,
         "artifacts": [
@@ -603,7 +582,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 def _cmd_explain_one(args: argparse.Namespace) -> int:
     config = apply_overrides(load_run_config(args.config), args)
     config.conditions = (_PERSONA_CONDITIONS[args.persona],)
-    _check_generator(config)
+    _check_endpoint(config.mock_llm, config.llm, _GENERATOR_MISSING)
     model = detector.load_model(args.model)
     message = corpus.Message(
         id="adhoc-000000",
@@ -637,7 +616,7 @@ def _cmd_explain_one(args: argparse.Namespace) -> int:
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     config = apply_overrides(load_run_config(args.config), args)
-    _check_generator(config)
+    _check_endpoint(config.mock_llm, config.llm, _GENERATOR_MISSING)
     out = _resolve_out_dir(config.out_dir)
     messages = corpus.load_jsonl(args.corpus)
     model = detector.load_model(args.model)
@@ -649,13 +628,13 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = apply_overrides(load_run_config(args.config), args)
-    _check_scorer(config)
+    _check_endpoint(config.mock_nli, config.nli, _SCORER_MISSING)
     evidence_by_id = dict(corpus.read_jsonl(args.evidence, attribution.evidence_from_record))
     explanations = corpus.read_jsonl(args.explanations, generation.explanation_from_record)
     wanted = {e.message_id for e in explanations if e.condition.wants_evidence}
     if missing := sorted(wanted - evidence_by_id.keys()):
         raise corpus.CorpusError(f"{args.evidence} has no evidence row for message {missing[0]!r}")
-    metrics = _evaluate(config, explanations, evidence_by_id, Path(args.out))
+    _, metrics = _evaluate(config, explanations, evidence_by_id, Path(args.out))
     print(f"scored {len(metrics)} explanations to {args.out}")
     return 0
 
@@ -753,7 +732,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         attribution.AttributionError,
         generation.GenerationError,
         evaluation.EvaluationError,
-        persona.UnknownLevelError,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

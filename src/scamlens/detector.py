@@ -313,10 +313,6 @@ class DetectorModel:
     def dim(self) -> int:
         return self.embedding.shape[1]
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.hidden_w.shape[1]
-
     def weight_arrays(self) -> tuple[np.ndarray, ...]:
         return (self.embedding, self.hidden_w, self.hidden_b, self.out_w)
 

@@ -39,13 +39,6 @@ CONDITION_LABELS: dict[Condition, str] = {
     Condition.XAI_LOW_VULNERABILITY: "XAI + Low Vulnerability",
 }
 
-REPORT_CONDITION_ORDER: tuple[Condition, ...] = (
-    Condition.PURE_LLM,
-    Condition.XAI_ONLY,
-    Condition.XAI_HIGH_VULNERABILITY,
-    Condition.XAI_LOW_VULNERABILITY,
-)
-
 
 class EvaluationError(Exception):
     """Base class for evaluation-stage failures."""
@@ -375,19 +368,17 @@ def _mean_std(values: Sequence[float]) -> MeanStd:
 def aggregate_report(
     per_condition: Mapping[Condition, Sequence[MessageMetrics]]
 ) -> MetricReport:
-    """Mean and sample std per metric per condition, in fixed row order.
+    """Mean and sample std per metric per condition, in `Condition` order.
 
-    Faithfulness is omitted for the no-evidence condition.
+    Faithfulness is omitted for a condition without evidence.
     """
     rows = []
-    for condition in REPORT_CONDITION_ORDER:
-        if condition not in per_condition:
-            continue
+    for condition in [c for c in Condition if c in per_condition]:
         group = per_condition[condition]
         if not group:
             raise EmptyGroupError(f"no scores for condition {condition.value}")
         faith: MeanStd | None = None
-        if condition is not Condition.PURE_LLM:
+        if condition.wants_evidence:
             values = [m.faithfulness for m in group]
             if any(v is None for v in values):
                 raise EvaluationError(

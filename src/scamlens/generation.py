@@ -19,12 +19,14 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
 
 import requests
 
+from . import persona
 from .attribution import EvidenceSet
 from .corpus import FormattedText
-from .persona import PersonaInstruction
 
 
 class Condition(Enum):
+    """The experimental conditions, in report order: each decides its evidence and persona."""
+
     PURE_LLM = "pure_llm"
     XAI_ONLY = "xai_only"
     XAI_HIGH_VULNERABILITY = "xai_high_vulnerability"
@@ -35,8 +37,14 @@ class Condition(Enum):
         return self is not Condition.PURE_LLM
 
     @property
-    def wants_persona(self) -> bool:
-        return self in (Condition.XAI_HIGH_VULNERABILITY, Condition.XAI_LOW_VULNERABILITY)
+    def persona(self) -> persona.VulnerabilityLevel | None:
+        return _PERSONAS.get(self)
+
+
+_PERSONAS = {
+    Condition.XAI_HIGH_VULNERABILITY: persona.VulnerabilityLevel.HIGH_VULNERABILITY,
+    Condition.XAI_LOW_VULNERABILITY: persona.VulnerabilityLevel.LOW_VULNERABILITY,
+}
 
 
 class GeneratorKind(Enum):
@@ -49,7 +57,7 @@ class GenerationError(Exception):
 
 
 class ConditionMismatchError(GenerationError):
-    """Evidence/instruction presence does not match the condition."""
+    """Evidence presence does not match the condition."""
 
 
 class TransportError(GenerationError):
@@ -160,7 +168,6 @@ def build_prompt(
     condition: Condition,
     message: FormattedText,
     evidence: EvidenceSet | None = None,
-    instruction: PersonaInstruction | None = None,
     *,
     message_id: str,
 ) -> Prompt:
@@ -173,18 +180,14 @@ def build_prompt(
         raise ConditionMismatchError(f"{condition.value} requires an evidence set")
     if not condition.wants_evidence and evidence is not None:
         raise ConditionMismatchError(f"{condition.value} must not receive evidence")
-    if condition.wants_persona and instruction is None:
-        raise ConditionMismatchError(f"{condition.value} requires a persona instruction")
-    if not condition.wants_persona and instruction is not None:
-        raise ConditionMismatchError(f"{condition.value} must not receive a persona instruction")
 
     system_text = _SYSTEM_BASE + (_SYSTEM_EVIDENCE if evidence is not None else "")
     parts = [f"Message:\n{message.text}\n"]
     if evidence is not None:
         lines = "\n".join(f"- {word}" for word, _ in evidence.phrases)
         parts.append(f"{EVIDENCE_HEADER}\n{lines}\n")
-    if instruction is not None:
-        parts.append(f"{STYLE_PREFIX} {instruction.rendered}\n")
+    if condition.persona is not None:
+        parts.append(f"{STYLE_PREFIX} {persona.build_instruction(condition.persona)}\n")
     parts.append("Explain why this message was flagged as a scam.")
     return Prompt(
         system_text=system_text,
@@ -377,32 +380,30 @@ def generate_many(config: LlmClientConfig, prompts: Iterable[Prompt]) -> Iterato
 # ---------------------------------------------------------------------------
 
 
-class MockStyle(Enum):
-    EVIDENCE_ECHOING = "evidence_echoing"
-    EVIDENCE_BLIND = "evidence_blind"
-
-
 MOCK_MODEL_NAME = "mock-explainer-v1"
 
-# Cue slots are joined with spaced commas so every evidence phrase survives
-# whitespace tokenization verbatim.
-_ECHO_HIGH = (
-    "Take a breath. You are safe right now. We checked this note for you. It is a scam. "
-    "The top signs we found are : {cues} . Do not tap the link. Do not send money. "
-    "Do not share your details. You can just delete it. If you feel unsure , talk to a "
-    "friend first."
-)
-_ECHO_NEUTRAL = (
-    "This message was flagged as a scam by the detector. The strongest cues were : {cues} . "
-    "Together these cues match known scam patterns , so do not click , reply , or pay."
-)
-_ECHO_LOW = (
-    "Systematic inspection of this communication surfaces indicators characteristic of "
-    "fraudulent solicitation , specifically : {cues} . The joint occurrence of these "
-    "indicators materially elevates the probability of deceptive intent , warranting "
-    "categorical avoidance of any interaction , including clicking , replying , or "
-    "transferring money."
-)
+# Evidence-echoing templates by the condition's persona. Cue slots are joined
+# with spaced commas so every evidence phrase survives whitespace tokenization
+# verbatim.
+_ECHO = {
+    persona.VulnerabilityLevel.HIGH_VULNERABILITY: (
+        "Take a breath. You are safe right now. We checked this note for you. It is a scam. "
+        "The top signs we found are : {cues} . Do not tap the link. Do not send money. "
+        "Do not share your details. You can just delete it. If you feel unsure , talk to a "
+        "friend first."
+    ),
+    None: (
+        "This message was flagged as a scam by the detector. The strongest cues were : {cues} . "
+        "Together these cues match known scam patterns , so do not click , reply , or pay."
+    ),
+    persona.VulnerabilityLevel.LOW_VULNERABILITY: (
+        "Systematic inspection of this communication surfaces indicators characteristic of "
+        "fraudulent solicitation , specifically : {cues} . The joint occurrence of these "
+        "indicators materially elevates the probability of deceptive intent , warranting "
+        "categorical avoidance of any interaction , including clicking , replying , or "
+        "transferring money."
+    ),
+}
 _BLIND = (
     "Caution is advised here. A careful independent look suggests this was composed to "
     "mislead whoever reads it. The safest option is to disregard it entirely. When in "
@@ -410,25 +411,19 @@ _BLIND = (
 )
 
 
-def mock_generate(prompt: Prompt, style: MockStyle) -> Explanation:
+def mock_generate(prompt: Prompt) -> Explanation:
     """Deterministic test double for the remote generator.
 
-    Evidence-echoing output embeds every evidence phrase from the prompt
-    verbatim, with persona-matched sentence shape; evidence-blind output is a
-    fixed generic warning that shares no content with the evidence.
+    A condition without evidence gets a fixed generic warning that shares no
+    content with the evidence. Every other condition echoes each evidence
+    phrase from the prompt verbatim, in the sentence shape of its persona.
     """
-    if style is MockStyle.EVIDENCE_BLIND:
+    if not prompt.condition.wants_evidence:
         text = _BLIND
     else:
         phrases = evidence_phrases_from_prompt(prompt)
         cues = " , ".join(phrases) if phrases else "the overall wording"
-        if prompt.condition is Condition.XAI_HIGH_VULNERABILITY:
-            template = _ECHO_HIGH
-        elif prompt.condition is Condition.XAI_LOW_VULNERABILITY:
-            template = _ECHO_LOW
-        else:
-            template = _ECHO_NEUTRAL
-        text = template.format(cues=cues)
+        text = _ECHO[prompt.condition.persona].format(cues=cues)
     return Explanation(
         message_id=prompt.message_id,
         condition=prompt.condition,

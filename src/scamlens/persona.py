@@ -3,13 +3,12 @@
 Two binary personas pair trait levels with an explanation style. They are
 design constructs for conditioning tone, structure, and detail; nothing
 here models or predicts individual users. Directive wording comes from a
-fixed, versioned phrase bank that deliberately shares no vocabulary with
-the synthetic corpus, so instructions can never leak into evidence.
+fixed phrase bank, versioned in run manifests, that shares no vocabulary
+with the synthetic corpus, so instructions can never leak into evidence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 PHRASE_BANK_VERSION = "directives-v1"
@@ -25,56 +24,19 @@ class VulnerabilityLevel(Enum):
     LOW_VULNERABILITY = "low"
 
 
-class UnknownLevelError(Exception):
-    """Vulnerability level is not one of the two defined personas."""
-
-
-@dataclass(frozen=True)
-class Persona:
-    conscientiousness: TraitLevel
-    neuroticism: TraitLevel
-    agreeableness: TraitLevel
-    vulnerability: VulnerabilityLevel
-
-    def __post_init__(self) -> None:
-        traits = (self.conscientiousness, self.neuroticism, self.agreeableness)
-        expected = _TRAIT_TABLE[self.vulnerability]
-        if traits != expected:
-            raise ValueError(
-                f"trait levels {traits} do not match the "
-                f"{self.vulnerability.name} persona definition"
-            )
-
-
 # Trait assignments per persona: (conscientiousness, neuroticism, agreeableness).
-_TRAIT_TABLE: dict[VulnerabilityLevel, tuple[TraitLevel, TraitLevel, TraitLevel]] = {
+TRAIT_TABLE: dict[VulnerabilityLevel, tuple[TraitLevel, TraitLevel, TraitLevel]] = {
     VulnerabilityLevel.HIGH_VULNERABILITY: (TraitLevel.LOW, TraitLevel.HIGH, TraitLevel.HIGH),
     VulnerabilityLevel.LOW_VULNERABILITY: (TraitLevel.HIGH, TraitLevel.LOW, TraitLevel.LOW),
 }
 
-
-def persona_from_vulnerability(level: VulnerabilityLevel) -> Persona:
-    if not isinstance(level, VulnerabilityLevel):
-        raise UnknownLevelError(f"unknown vulnerability level {level!r}")
-    c, n, a = _TRAIT_TABLE[level]
-    return Persona(conscientiousness=c, neuroticism=n, agreeableness=a, vulnerability=level)
-
-
-@dataclass(frozen=True)
-class PersonaInstruction:
-    tone_directive: str
-    structure_directive: str
-    detail_directive: str
-    rendered: str
-
-
 # Phrase bank. Neuroticism sets emotional tone, conscientiousness sets
 # explanation granularity, agreeableness sets framing.
-_TONE = {
+TONE = {
     TraitLevel.HIGH: "Use a calm, reassuring tone and avoid alarming wording.",
     TraitLevel.LOW: "Use a neutral, direct tone.",
 }
-_DETAIL = {
+DETAIL = {
     TraitLevel.LOW: (
         "Explain in plain language with contextual, step-by-step guidance the reader can follow."
     ),
@@ -82,20 +44,13 @@ _DETAIL = {
         "Keep the explanation concise and analytical, and foreground the explicit evidence terms."
     ),
 }
-_FRAMING = {
+FRAMING = {
     TraitLevel.HIGH: "Speak to the reader in a supportive second-person voice.",
     TraitLevel.LOW: "Frame the assessment impersonally, centered on observable properties.",
 }
 
 
-def build_instruction(persona: Persona) -> PersonaInstruction:
-    """Deterministic directive set for a persona."""
-    tone = _TONE[persona.neuroticism]
-    detail = _DETAIL[persona.conscientiousness]
-    framing = _FRAMING[persona.agreeableness]
-    return PersonaInstruction(
-        tone_directive=tone,
-        structure_directive=framing,
-        detail_directive=detail,
-        rendered=f"{tone} {detail} {framing}",
-    )
+def build_instruction(level: VulnerabilityLevel) -> str:
+    """The persona's style instruction: its tone, detail and framing directives."""
+    conscientiousness, neuroticism, agreeableness = TRAIT_TABLE[level]
+    return f"{TONE[neuroticism]} {DETAIL[conscientiousness]} {FRAMING[agreeableness]}"

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from scamlens import cli, corpus, detector, evaluation
+from scamlens import cli, corpus, detector, evaluation, lexicon, persona
 from scamlens.attribution import AttributionConfig, EvidenceSet
 from scamlens.cli import ConfigError, interpolate_env, load_run_config, parse_conditions
 from scamlens.evaluation import EvaluationConfig
@@ -188,12 +188,49 @@ class TestScoreAll:
             for mid in evidence
             for condition in Condition
         ]
-        metrics = cli._score_all(cli.RunConfig(mock_nli=True), explanations, evidence)
+        received, metrics = cli._score_all(
+            cli.RunConfig(mock_nli=True), iter(explanations), evidence
+        )
 
-        assert len(metrics) == len(explanations)
+        assert received == explanations
+        assert [(m.message_id, m.condition) for m in metrics] == [
+            (e.message_id, e.condition) for e in explanations
+        ]
         assert calls["mock_score_nli"] == explanations
         assert calls["faithfulness"] == [e for e in explanations if e.condition.wants_evidence]
         assert calls["fkgl"] == [e.text for e in explanations]
+
+
+class TestBuildPrompts:
+    # SHA-256 of the JSON list [system_text, user_text] of each condition's
+    # prompt for MESSAGE and EVIDENCE. The mock generator ignores the style
+    # text, so the golden digests cannot see these bytes; this pins them.
+    PROMPT_DIGESTS = {
+        "pure_llm": "b8c6f4d5e569f37f5407a44c2b3959158836aa2c2e94a11580248857c9c4a0f4",
+        "xai_only": "fddc1e2cf52811e7cd7f26558df8d93d78582ff6ea552957f62273d02ba9b424",
+        "xai_high_vulnerability": "3bf540581e49d103df639c6a3ce014f7dcbf4a7e41c2eb3aca846f48bcf73661",
+        "xai_low_vulnerability": "566fa41f70bd263c7be6827f729365e970f6583d2483fd42eb58472053f2a07d",
+    }
+    MESSAGE = corpus.Message(
+        id="m-000001",
+        channel=corpus.Channel.EMAIL,
+        body="Your account is locked. Verify at bit.ly/k2j3m within 24 hours!",
+        label=corpus.Label.SCAM,
+        subject="Final notice",
+    )
+    EVIDENCE = EvidenceSet(phrases=(("Verify", 0.5), ("bit.ly/k2j3m", 0.4), ("locked.", 0.1)), k=8)
+
+    def test_every_prompt_byte_is_pinned(self):
+        prompts = cli._build_prompts(cli.RunConfig(), [(self.MESSAGE, self.EVIDENCE)])
+        digests = {
+            p.condition.value: hashlib.sha256(
+                json.dumps([p.system_text, p.user_text]).encode("utf-8")
+            ).hexdigest()
+            for p in prompts
+        }
+        assert [p.condition for p in prompts] == list(Condition)
+        assert {p.message_id for p in prompts} == {self.MESSAGE.id}
+        assert digests == self.PROMPT_DIGESTS
 
 
 class TestPipelineCommand:
@@ -302,6 +339,8 @@ class TestPipelineCommand:
         assert manifest["seeds"] == {"synth": 7, "train": 7, "sample": 5, "attribution": 11}
         assert manifest["generator"] == "mock"
         assert len(manifest["config_sha256"]) == 64
+        assert manifest["stopwords_version"] == lexicon.STOPWORDS_VERSION
+        assert manifest["phrase_bank_version"] == persona.PHRASE_BANK_VERSION
 
     def test_remote_pipeline_against_stub_endpoints(self, tmp_path, stub_server, monkeypatch):
         monkeypatch.setenv("STUB_LLM_KEY", "k1")
@@ -455,7 +494,7 @@ class TestRemoteOverlap:
         assert first_nli < last_chat_answer
 
         subset = [json.loads(l)["id"] for l in (out / "subset.jsonl").read_text().splitlines()]
-        expected = [(mid, c.value) for c in evaluation.REPORT_CONDITION_ORDER for mid in subset]
+        expected = [(mid, c.value) for c in Condition for mid in subset]
         rows = {
             name: [json.loads(l) for l in (out / name).read_text().splitlines()]
             for name in ("explanations.jsonl", "metrics.jsonl")

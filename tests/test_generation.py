@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scamlens import generation
+from scamlens import generation, persona
 from scamlens.attribution import EvidenceSet
 from scamlens.corpus import FormattedText
 from scamlens.evaluation import fkgl
@@ -24,7 +24,6 @@ from scamlens.generation import (
     GeneratorKind,
     LlmClientConfig,
     MAX_IN_FLIGHT,
-    MockStyle,
     RateLimitedError,
     TransportError,
     TransportTimeoutError,
@@ -37,16 +36,10 @@ from scamlens.generation import (
     mock_generate,
     run_batch,
 )
-from scamlens.persona import VulnerabilityLevel, build_instruction, persona_from_vulnerability
+from scamlens.persona import VulnerabilityLevel, build_instruction
 
 MESSAGE = FormattedText("<SMS> Win a prize now at bit.ly/abc12", "<SMS>")
 EVIDENCE = EvidenceSet(phrases=(("urgent", 0.5), ("click", 0.3)), k=8)
-HIGH_INSTRUCTION = build_instruction(
-    persona_from_vulnerability(VulnerabilityLevel.HIGH_VULNERABILITY)
-)
-LOW_INSTRUCTION = build_instruction(
-    persona_from_vulnerability(VulnerabilityLevel.LOW_VULNERABILITY)
-)
 
 
 def client_config(url: str, **overrides) -> LlmClientConfig:
@@ -67,6 +60,17 @@ def llm_key(monkeypatch):
     monkeypatch.setenv("TEST_LLM_KEY", "secret-token")
 
 
+class TestCondition:
+    def test_each_condition_decides_evidence_and_persona(self):
+        decided = {c: (c.wants_evidence, c.persona) for c in Condition}
+        assert decided == {
+            Condition.PURE_LLM: (False, None),
+            Condition.XAI_ONLY: (True, None),
+            Condition.XAI_HIGH_VULNERABILITY: (True, VulnerabilityLevel.HIGH_VULNERABILITY),
+            Condition.XAI_LOW_VULNERABILITY: (True, VulnerabilityLevel.LOW_VULNERABILITY),
+        }
+
+
 class TestBuildPrompt:
     def test_pure_llm_has_message_but_no_evidence_block(self):
         prompt = build_prompt(Condition.PURE_LLM, MESSAGE, message_id="m1")
@@ -79,27 +83,32 @@ class TestBuildPrompt:
         assert "- click" in prompt.user_text
         assert prompt.user_text.index("- urgent") < prompt.user_text.index("- click")
 
-    def test_persona_condition_without_instruction_rejected(self):
-        with pytest.raises(ConditionMismatchError):
-            build_prompt(Condition.XAI_HIGH_VULNERABILITY, MESSAGE, EVIDENCE, message_id="m1")
-
     def test_pure_llm_with_evidence_rejected(self):
         with pytest.raises(ConditionMismatchError):
             build_prompt(Condition.PURE_LLM, MESSAGE, EVIDENCE, message_id="m1")
 
-    def test_xai_only_with_instruction_rejected(self):
+    def test_evidence_condition_without_evidence_rejected(self):
         with pytest.raises(ConditionMismatchError):
-            build_prompt(
-                Condition.XAI_ONLY, MESSAGE, EVIDENCE, HIGH_INSTRUCTION, message_id="m1"
-            )
+            build_prompt(Condition.XAI_HIGH_VULNERABILITY, MESSAGE, message_id="m1")
 
     def test_persona_block_present_only_for_persona_conditions(self):
         plain = build_prompt(Condition.XAI_ONLY, MESSAGE, EVIDENCE, message_id="m1")
-        styled = build_prompt(
-            Condition.XAI_HIGH_VULNERABILITY, MESSAGE, EVIDENCE, HIGH_INSTRUCTION, message_id="m1"
-        )
         assert "Style instructions:" not in plain.user_text
-        assert HIGH_INSTRUCTION.rendered in styled.user_text
+        for condition, level in (
+            (Condition.XAI_HIGH_VULNERABILITY, VulnerabilityLevel.HIGH_VULNERABILITY),
+            (Condition.XAI_LOW_VULNERABILITY, VulnerabilityLevel.LOW_VULNERABILITY),
+        ):
+            styled = build_prompt(condition, MESSAGE, EVIDENCE, message_id="m1")
+            assert f"Style instructions: {build_instruction(level)}" in styled.user_text
+
+    def test_style_comes_from_the_persona_module_attribute(self, monkeypatch):
+        # perfbench's span tracer wraps `persona.build_instruction` on the
+        # module, so build_prompt must look it up there at call time.
+        levels = []
+        monkeypatch.setattr(persona, "build_instruction", lambda level: levels.append(level) or "X")
+        prompt = build_prompt(Condition.XAI_LOW_VULNERABILITY, MESSAGE, EVIDENCE, message_id="m1")
+        assert levels == [VulnerabilityLevel.LOW_VULNERABILITY]
+        assert "Style instructions: X\n" in prompt.user_text
 
     def test_system_text_mentions_evidence_grounding_only_with_evidence(self):
         bare = build_prompt(Condition.PURE_LLM, MESSAGE, message_id="m1")
@@ -118,43 +127,32 @@ class TestBuildPrompt:
 
 
 class TestMockGenerate:
-    def _prompt(self, condition=Condition.XAI_ONLY, evidence=EVIDENCE, instruction=None):
-        if condition is Condition.XAI_HIGH_VULNERABILITY:
-            instruction = HIGH_INSTRUCTION
-        elif condition is Condition.XAI_LOW_VULNERABILITY:
-            instruction = LOW_INSTRUCTION
-        return build_prompt(condition, MESSAGE, evidence, instruction, message_id="m1")
+    def _prompt(self, condition=Condition.XAI_ONLY, evidence=EVIDENCE):
+        return build_prompt(condition, MESSAGE, evidence, message_id="m1")
 
     def test_echo_contains_every_evidence_phrase(self):
-        out = mock_generate(self._prompt(), MockStyle.EVIDENCE_ECHOING)
+        out = mock_generate(self._prompt())
         assert "urgent" in out.text
         assert "click" in out.text
         assert out.generator is GeneratorKind.MOCK
 
     def test_blind_shares_no_token_with_evidence(self):
-        blind = mock_generate(
-            build_prompt(Condition.PURE_LLM, MESSAGE, message_id="m1"),
-            MockStyle.EVIDENCE_BLIND,
-        )
+        blind = mock_generate(build_prompt(Condition.PURE_LLM, MESSAGE, message_id="m1"))
         blind_tokens = {t.lower().strip(string.punctuation) for t in blind.text.split()}
         assert not blind_tokens & {"urgent", "click"}
 
     def test_deterministic(self):
-        a = mock_generate(self._prompt(), MockStyle.EVIDENCE_ECHOING)
-        b = mock_generate(self._prompt(), MockStyle.EVIDENCE_ECHOING)
+        a = mock_generate(self._prompt())
+        b = mock_generate(self._prompt())
         assert a == b
 
     def test_high_persona_template_reads_easier_than_low(self):
-        high = mock_generate(
-            self._prompt(Condition.XAI_HIGH_VULNERABILITY), MockStyle.EVIDENCE_ECHOING
-        )
-        low = mock_generate(
-            self._prompt(Condition.XAI_LOW_VULNERABILITY), MockStyle.EVIDENCE_ECHOING
-        )
+        high = mock_generate(self._prompt(Condition.XAI_HIGH_VULNERABILITY))
+        low = mock_generate(self._prompt(Condition.XAI_LOW_VULNERABILITY))
         assert fkgl(high.text).fkgl < fkgl(low.text).fkgl
 
     def test_condition_carried_through(self):
-        out = mock_generate(self._prompt(Condition.XAI_LOW_VULNERABILITY), MockStyle.EVIDENCE_ECHOING)
+        out = mock_generate(self._prompt(Condition.XAI_LOW_VULNERABILITY))
         assert out.condition is Condition.XAI_LOW_VULNERABILITY
 
     @pytest.mark.parametrize(
@@ -169,7 +167,7 @@ class TestMockGenerate:
             k=8,
         )
         prompt = self._prompt(condition, evidence=evidence)
-        out = mock_generate(prompt, MockStyle.EVIDENCE_ECHOING)
+        out = mock_generate(prompt)
         assert faithfulness(evidence, out) == 1.0
 
     def test_blind_output_scores_zero_faithfulness(self):
@@ -179,7 +177,7 @@ class TestMockGenerate:
             phrases=(("urgent", 0.5), ("prize", 0.4), ("$500", 0.3)), k=8
         )
         prompt = build_prompt(Condition.PURE_LLM, MESSAGE, message_id="m1")
-        out = mock_generate(prompt, MockStyle.EVIDENCE_BLIND)
+        out = mock_generate(prompt)
         assert faithfulness(evidence, out) == 0.0
 
 

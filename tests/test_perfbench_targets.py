@@ -12,19 +12,27 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
+from scamlens import cli
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_every_span_target_resolves_to_a_scamlens_attribute(monkeypatch):
+@pytest.fixture
+def spans(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, spans)
-    spec.loader.exec_module(spans)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_span_target_resolves_to_a_scamlens_attribute(spans):
     assert spans.TARGETS
     missing = [
         t.name
@@ -63,3 +71,29 @@ def test_every_scamlens_name_the_benchmark_uses_resolves(name):
         if not hasattr(importlib.import_module(f"scamlens.{module}"), attr)
     ]
     assert missing == []
+
+
+def test_every_wrapper_fires_on_a_mock_pipeline(spans, tmp_path):
+    # A wrapper patched on the module fires only if the package calls the
+    # function through the module attribute at run time; a by-name import
+    # keeps the original and silently blanks the target's layer metric.
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({"synth": {"per_channel_per_label": 25}, "sample_fraction": 0.2}),
+        encoding="utf-8",
+    )
+    tracer = spans.Tracer()
+    with tracer.installed():
+        argv = ["pipeline", "--config", str(config), "--mock", "--train", "--out", str(tmp_path / "run")]
+        assert cli.main(argv) == 0
+    assert tracer.missing == []
+    fired = tracer.fired()
+    silent = {t.name for t in spans.TARGETS if not fired[t.name]}
+    # Only a corpus file and the remote endpoints are left out by this run.
+    assert silent == {
+        "corpus.load_jsonl",
+        "generation.generate",
+        "generation.generate_many",
+        "evaluation.score_nli",
+        "evaluation.score_nli_many",
+    }

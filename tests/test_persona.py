@@ -2,82 +2,65 @@ from __future__ import annotations
 
 import string
 
-import pytest
-
 from scamlens.corpus import Label, format_input, synth_corpus
 from scamlens.lexicon import STOPWORDS
 from scamlens.persona import (
-    Persona,
+    DETAIL,
+    FRAMING,
+    TONE,
+    TRAIT_TABLE,
     TraitLevel,
-    UnknownLevelError,
     VulnerabilityLevel,
     build_instruction,
-    persona_from_vulnerability,
 )
 
 
 class TestTraitTable:
     def test_high_vulnerability_traits(self):
-        p = persona_from_vulnerability(VulnerabilityLevel.HIGH_VULNERABILITY)
-        assert p.conscientiousness is TraitLevel.LOW
-        assert p.neuroticism is TraitLevel.HIGH
-        assert p.agreeableness is TraitLevel.HIGH
+        conscientiousness, neuroticism, agreeableness = TRAIT_TABLE[
+            VulnerabilityLevel.HIGH_VULNERABILITY
+        ]
+        assert conscientiousness is TraitLevel.LOW
+        assert neuroticism is TraitLevel.HIGH
+        assert agreeableness is TraitLevel.HIGH
 
     def test_low_vulnerability_traits(self):
-        p = persona_from_vulnerability(VulnerabilityLevel.LOW_VULNERABILITY)
-        assert p.conscientiousness is TraitLevel.HIGH
-        assert p.neuroticism is TraitLevel.LOW
-        assert p.agreeableness is TraitLevel.LOW
-
-    def test_unknown_level_rejected(self):
-        with pytest.raises(UnknownLevelError):
-            persona_from_vulnerability("medium")  # type: ignore[arg-type]
-
-    def test_inconsistent_trait_combination_rejected(self):
-        with pytest.raises(ValueError):
-            Persona(
-                conscientiousness=TraitLevel.HIGH,
-                neuroticism=TraitLevel.HIGH,
-                agreeableness=TraitLevel.HIGH,
-                vulnerability=VulnerabilityLevel.HIGH_VULNERABILITY,
-            )
+        conscientiousness, neuroticism, agreeableness = TRAIT_TABLE[
+            VulnerabilityLevel.LOW_VULNERABILITY
+        ]
+        assert conscientiousness is TraitLevel.HIGH
+        assert neuroticism is TraitLevel.LOW
+        assert agreeableness is TraitLevel.LOW
 
 
 class TestBuildInstruction:
     def test_high_vulnerability_gets_calm_supportive_contextual_style(self):
-        p = persona_from_vulnerability(VulnerabilityLevel.HIGH_VULNERABILITY)
-        rendered = build_instruction(p).rendered.lower()
+        rendered = build_instruction(VulnerabilityLevel.HIGH_VULNERABILITY).lower()
         assert "calm" in rendered
         assert "supportive" in rendered
         assert "contextual" in rendered
 
     def test_low_vulnerability_gets_concise_analytical_evidence_style(self):
-        p = persona_from_vulnerability(VulnerabilityLevel.LOW_VULNERABILITY)
-        rendered = build_instruction(p).rendered.lower()
+        rendered = build_instruction(VulnerabilityLevel.LOW_VULNERABILITY).lower()
         assert "concise" in rendered
         assert "analytical" in rendered
         assert "evidence" in rendered
 
     def test_personas_render_distinct_instructions(self):
-        high = build_instruction(
-            persona_from_vulnerability(VulnerabilityLevel.HIGH_VULNERABILITY)
-        )
-        low = build_instruction(persona_from_vulnerability(VulnerabilityLevel.LOW_VULNERABILITY))
-        assert high.rendered != low.rendered
+        high = build_instruction(VulnerabilityLevel.HIGH_VULNERABILITY)
+        low = build_instruction(VulnerabilityLevel.LOW_VULNERABILITY)
+        assert high != low
 
     def test_deterministic(self):
-        p = persona_from_vulnerability(VulnerabilityLevel.HIGH_VULNERABILITY)
-        assert build_instruction(p).rendered == build_instruction(p).rendered
+        level = VulnerabilityLevel.HIGH_VULNERABILITY
+        assert build_instruction(level) == build_instruction(level)
 
     def test_rendered_concatenates_all_three_directives(self):
-        p = persona_from_vulnerability(VulnerabilityLevel.LOW_VULNERABILITY)
-        instruction = build_instruction(p)
-        for directive in (
-            instruction.tone_directive,
-            instruction.structure_directive,
-            instruction.detail_directive,
-        ):
-            assert directive in instruction.rendered
+        # Tone follows neuroticism, detail conscientiousness and framing
+        # agreeableness, in that order.
+        for level, (conscientiousness, neuroticism, agreeableness) in TRAIT_TABLE.items():
+            directives = (TONE[neuroticism], DETAIL[conscientiousness], FRAMING[agreeableness])
+            assert build_instruction(level) == " ".join(directives)
 
     def test_directives_share_no_content_words_with_scam_corpus(self):
         # Evidence words always come from scam message text, so directive
@@ -91,7 +74,7 @@ class TestBuildInstruction:
                 if word and word not in STOPWORDS:
                     scam_words.add(word)
         for level in VulnerabilityLevel:
-            rendered = build_instruction(persona_from_vulnerability(level)).rendered
+            rendered = build_instruction(level)
             directive_words = {
                 t.lower().strip(string.punctuation)
                 for t in rendered.split()
