@@ -119,16 +119,6 @@ class MessageSet:
     def __iter__(self) -> Iterator[Message]:
         return iter(self.messages)
 
-    def counts(self) -> dict[Channel, tuple[int, int]]:
-        """Per-channel (scam, ham) counts, omitting absent channels."""
-        out: dict[Channel, tuple[int, int]] = {}
-        for channel in Channel:
-            scam = sum(1 for m in self.messages if m.channel is channel and m.label is Label.SCAM)
-            ham = sum(1 for m in self.messages if m.channel is channel and m.label is Label.HAM)
-            if scam or ham:
-                out[channel] = (scam, ham)
-        return out
-
 
 def ingest(records: Iterable[Mapping[str, Any]], channel: Channel) -> MessageSet:
     """Turn raw field-maps into Messages on `channel` with `message_from_record`;

@@ -313,12 +313,9 @@ class DetectorModel:
     def dim(self) -> int:
         return self.embedding.shape[1]
 
-    def weight_arrays(self) -> tuple[np.ndarray, ...]:
-        return (self.embedding, self.hidden_w, self.hidden_b, self.out_w)
-
 
 def _check_finite(model: DetectorModel) -> None:
-    for array in model.weight_arrays():
+    for array in (model.embedding, model.hidden_w, model.hidden_b, model.out_w):
         if not np.all(np.isfinite(array)):
             raise NonFiniteWeightsError("model weights contain non-finite values")
     if not math.isfinite(model.out_b):

@@ -353,12 +353,6 @@ class ConditionReport:
 class MetricReport:
     rows: tuple[ConditionReport, ...] = field(default_factory=tuple)
 
-    def row(self, condition: Condition) -> ConditionReport:
-        for row in self.rows:
-            if row.condition is condition:
-                return row
-        raise KeyError(condition)
-
 
 def _mean_std(values: Sequence[float]) -> MeanStd:
     # Sample (n-1) standard deviation; defined as 0 for a single value.

@@ -198,19 +198,19 @@ def build_prompt(
 
 
 def evidence_phrases_from_prompt(prompt: Prompt) -> list[str]:
-    """Recover the verbatim evidence list from a built prompt, if present."""
-    lines = prompt.user_text.splitlines()
-    phrases = []
+    """Recover the verbatim evidence list from a built prompt, if present.
+
+    The list is the block under the last header line: the message text comes
+    before the real block, so a header inside the message is not read."""
+    phrases: list[str] = []
     in_block = False
-    for line in lines:
+    for line in prompt.user_text.splitlines():
         if line == EVIDENCE_HEADER:
-            in_block = True
-            continue
-        if in_block:
-            if line.startswith("- "):
-                phrases.append(line[2:])
-            else:
-                break
+            phrases, in_block = [], True
+        elif in_block and line.startswith("- "):
+            phrases.append(line[2:])
+        else:
+            in_block = False
     return phrases
 
 

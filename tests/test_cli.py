@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from collections import Counter
 from datetime import datetime
 from pathlib import Path
 
@@ -155,6 +156,51 @@ class TestConfig:
         assert config.evaluation == EvaluationConfig(alpha=0.9)
         assert detector.TrainConfig(**config.train) == detector.TrainConfig(epochs=3)
 
+    def test_conditions_from_config_file_interpolate_inside_the_list(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FIRST_CONDITION", "pure_llm")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"conditions": ["${FIRST_CONDITION}", "xai_only"]}))
+        config = load_run_config(path)
+        assert config.conditions == (Condition.PURE_LLM, Condition.XAI_ONLY)
+
+    @pytest.mark.parametrize(
+        "document, cause",
+        [
+            ('{"conditions": ["${NOT_SET_ANYWHERE}"]}', "unset environment variable NOT_SET_ANYWHERE"),
+            ('{"conditions": []}', "condition list is empty"),
+            ('{"conditions": ["xai_only", "nonsense"]}', "unknown condition 'nonsense'"),
+            ('{"sample_fraction": 0}', "sample_fraction must be in (0, 1]"),
+            ('{"sample_fraction": 1.5}', "sample_fraction must be in (0, 1]"),
+            ('{"train": [1]}', "config section 'train' must be a JSON object"),
+            ('{"synth": 7}', "config section 'synth' must be a JSON object"),
+            ("[1, 2]", "config document must be a JSON object"),
+        ],
+        ids=[
+            "unset_variable_in_list",
+            "empty_conditions",
+            "unknown_condition",
+            "sample_fraction_zero",
+            "sample_fraction_above_one",
+            "section_is_a_list",
+            "section_is_a_number",
+            "document_is_a_list",
+        ],
+    )
+    def test_rejected_config_document_fails_before_out_dir(
+        self, tmp_path, capsys, monkeypatch, document, cause
+    ):
+        monkeypatch.delenv("NOT_SET_ANYWHERE", raising=False)
+        path = tmp_path / "config.json"
+        path.write_text(document)
+        with pytest.raises(ConfigError) as info:
+            load_run_config(path)
+        assert cause in str(info.value)
+        out = tmp_path / "run"
+        rc = cli.main(["pipeline", "--config", str(path), "--mock", "--train", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+        assert not out.exists()
+
 
 class TestScoreAll:
     def test_scores_through_the_module_attributes_once_per_explanation(self, monkeypatch):
@@ -290,6 +336,19 @@ class TestPipelineCommand:
         )
         assert rc != 0
         assert "model" in capsys.readouterr().err.lower()
+
+    def test_ham_only_corpus_leaves_nothing_to_explain(
+        self, tmp_path, frozen_model, small_corpus, capsys
+    ):
+        corpus_path = tmp_path / "corpus.jsonl"
+        ham = corpus.MessageSet(tuple(m for m in small_corpus if m.label is corpus.Label.HAM))
+        corpus.save_jsonl(ham, corpus_path)
+        model_path = tmp_path / "model.json"
+        detector.save_model(frozen_model, model_path)
+        config = write_config(tmp_path, corpus_path=str(corpus_path), model_path=str(model_path))
+        rc = cli.main(["pipeline", "--config", str(config), "--mock", "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: no messages survived the explanation filter\n"
 
     def test_existing_nonempty_out_dir_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -560,7 +619,10 @@ class TestStageCommands:
             ["sample", "--in", str(messages), "--out", str(sampled), "--per-stratum", "2", "--seed", "3"]
         ) == 0
         out = corpus.load_jsonl(sampled)
-        assert out.counts() == {corpus.Channel.SMS: (2, 2)}
+        assert Counter((m.channel, m.label) for m in out) == {
+            (corpus.Channel.SMS, corpus.Label.SCAM): 2,
+            (corpus.Channel.SMS, corpus.Label.HAM): 2,
+        }
 
     def test_sample_rejects_a_non_positive_count(self, tmp_path, small_corpus, capsys):
         corpus_path = tmp_path / "corpus.jsonl"
@@ -897,6 +959,16 @@ class TestExplainOne:
         assert "evidence:" in out
         assert "condition: xai_high_vulnerability" in out
         assert "explanation (mock):" in out
+
+    def test_stopword_only_text_has_no_evidence_to_explain(self, tmp_path, frozen_model, capsys):
+        model_path = tmp_path / "model.json"
+        detector.save_model(frozen_model, model_path)
+        argv = ["explain-one", "--text", "the and of to it is", "--channel", "sms"]
+        rc = cli.main([*argv, "--model", str(model_path), "--persona", "high", "--mock"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert out.endswith("evidence:\n  (empty)\n")
+        assert "explanation" not in out
 
     def test_persona_none_maps_to_xai_only(self, tmp_path, frozen_model, capsys):
         model_path = tmp_path / "model.json"

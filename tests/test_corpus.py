@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import string
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -147,7 +148,9 @@ class TestStratifiedSample:
     def test_exact_counts_per_channel(self):
         full = synth_corpus(seed=1, per_channel_per_label=500)
         sampled = stratified_sample(full, 100, seed=42)
-        assert sampled.counts() == {ch: (100, 100) for ch in Channel}
+        assert Counter((m.channel, m.label) for m in sampled) == {
+            (ch, label): 100 for ch in Channel for label in Label
+        }
 
     def test_same_seed_selects_same_ids(self):
         full = synth_corpus(seed=1, per_channel_per_label=50)
@@ -165,8 +168,9 @@ class TestStratifiedSample:
     def test_scam_equals_ham_per_channel(self, seed):
         full = synth_corpus(seed=3, per_channel_per_label=20)
         sampled = stratified_sample(full, 7, seed=seed)
-        for scam, ham in sampled.counts().values():
-            assert scam == ham == 7
+        assert Counter((m.channel, m.label) for m in sampled) == {
+            (ch, label): 7 for ch in Channel for label in Label
+        }
 
 
 class TestFilterForExplanation:
@@ -226,7 +230,9 @@ class TestSynthCorpus:
     def test_total_count(self):
         ms = synth_corpus(seed=7, per_channel_per_label=100)
         assert len(ms) == 600
-        assert ms.counts() == {ch: (100, 100) for ch in Channel}
+        assert Counter((m.channel, m.label) for m in ms) == {
+            (ch, label): 100 for ch in Channel for label in Label
+        }
 
     def test_same_seed_byte_identical(self):
         a = _corpus_text(synth_corpus(seed=7, per_channel_per_label=25))
@@ -307,6 +313,13 @@ class TestJsonlRoundTrip:
             (['{"id": "a", "channel": "sms", "body": "hi"}'], 1),
             (["", '{"id": "a", "channel": "sms", "body": "hi", "label": "ham"', ""], 2),
             (['{"id": "a", "channel": "sms", "body": "caf\xe9", "label": "ham"}'], 1),
+            (
+                [
+                    '{"id": "a", "channel": "sms", "body": "hi", "label": "ham"}',
+                    '{"id": "b", "channel": "fax", "body": "hi", "label": "ham"}',
+                ],
+                2,
+            ),
         ],
     )
     def test_malformed_record_names_file_and_line(self, tmp_path, lines, number):

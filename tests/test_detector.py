@@ -47,6 +47,8 @@ from scamlens.detector import (
     train,
 )
 
+WEIGHT_NAMES = ("embedding", "hidden_w", "hidden_b", "out_w")
+
 
 class TestBuildVocab:
     def test_frequent_ngram_becomes_piece(self):
@@ -359,7 +361,7 @@ class TestTrain:
         config = TrainConfig(seed=11, epochs=40, patience=40)
         a = train(small_corpus, config)
         b = train(small_corpus, config)
-        assert all(np.array_equal(x, y) for x, y in zip(a.weight_arrays(), b.weight_arrays()))
+        assert all(np.array_equal(getattr(a, name), getattr(b, name)) for name in WEIGHT_NAMES)
         assert a.out_b == b.out_b
 
     def test_plateau_halts_before_epoch_budget(self, small_corpus):
@@ -408,9 +410,6 @@ class TestTrain:
         predicted = [predictions[m.id].predicted_label for m in fresh]
         actual = [m.label for m in fresh]
         assert macro_f1(predicted, actual) >= 0.90
-
-
-WEIGHT_NAMES = ("embedding", "hidden_w", "hidden_b", "out_w")
 
 
 class TestImmutability:
@@ -507,14 +506,28 @@ class TestCheckpoint:
             load_model(path)
 
     @pytest.mark.parametrize(
-        "edit",
+        ("edit", "cause"),
         [
-            lambda payload: payload.pop("embedding"),
-            lambda payload: payload.update(activation="relu"),
-            lambda payload: payload.update(out_b="not a number"),
-            lambda payload: payload.update(embedding=payload["embedding"][:50]),
-            lambda payload: payload.update(hidden_w=[row[:-1] for row in payload["hidden_w"]]),
-            lambda payload: payload.update(piece_limit=0),
+            (lambda payload: payload.pop("embedding"), "KeyError: 'embedding'"),
+            (lambda payload: payload.update(activation="relu"), "unknown activation"),
+            (lambda payload: payload.update(out_b="not a number"), "could not convert"),
+            (
+                lambda payload: payload.update(embedding=payload["embedding"][:50]),
+                "embedding must have shape",
+            ),
+            (
+                lambda payload: payload.update(hidden_w=[row[:-1] for row in payload["hidden_w"]]),
+                "hidden_w must have shape",
+            ),
+            (lambda payload: payload.update(piece_limit=0), "piece_limit must be >= 1"),
+            (
+                lambda payload: payload.update(pieces=payload["pieces"][1:]),
+                "must start with the special pieces",
+            ),
+            (
+                lambda payload: payload.update(pieces=payload["pieces"] + payload["pieces"][-1:]),
+                "duplicate pieces",
+            ),
         ],
         ids=[
             "missing_embedding",
@@ -523,9 +536,11 @@ class TestCheckpoint:
             "embedding_rows_short",
             "hidden_w_column_short",
             "piece_limit_zero",
+            "pieces_lack_specials",
+            "pieces_repeat_one",
         ],
     )
-    def test_malformed_checkpoint_names_the_file(self, tmp_path, trained_model, edit):
+    def test_malformed_checkpoint_names_the_file(self, tmp_path, trained_model, edit, cause):
         import json
 
         path = tmp_path / "model.json"
@@ -536,6 +551,7 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError, match="malformed checkpoint") as info:
             load_model(path)
         assert str(path) in str(info.value)
+        assert cause in str(info.value)
 
     def test_legacy_frozen_key_ignored(self, tmp_path, trained_model):
         import json

@@ -17,6 +17,7 @@ from scamlens.evaluation import (
     EmptyGroupError,
     EmptyTextError,
     EvaluationConfig,
+    EvaluationError,
     MessageMetrics,
     NliScores,
     NoLettersError,
@@ -275,6 +276,22 @@ class TestScoreNli:
         with pytest.raises(ProbabilitySumViolationError):
             score_nli(EndpointConfig(base_url=stub_server.url), make_explanation("text"))
 
+    @pytest.mark.parametrize(
+        "body, cause",
+        [
+            ({"neutral": 0.2, "contradiction": 0.1}, "'entailment'"),
+            ({"entailment": "high", "neutral": 0.2, "contradiction": 0.1}, "could not convert"),
+        ],
+        ids=["missing_entailment", "non_numeric_entailment"],
+    )
+    def test_malformed_body_names_the_url(self, stub_server, body, cause):
+        stub_server.script = [{"status": 200, "body": body}]
+        with pytest.raises(EvaluationError, match="malformed entailment response") as info:
+            score_nli(EndpointConfig(base_url=stub_server.url), make_explanation("text"))
+        assert f"{stub_server.url}/nli" in str(info.value)
+        assert cause in str(info.value)
+        assert len(stub_server.requests) == 1
+
     def test_non_retryable_status_is_named_not_retried(self, stub_server):
         from scamlens.generation import TransportError
 
@@ -480,17 +497,22 @@ class TestAggregateReport:
 
     def test_mean_and_sample_std(self):
         report = aggregate_report({Condition.XAI_ONLY: self._metrics(Condition.XAI_ONLY, [0.5, 0.7])})
-        row = report.row(Condition.XAI_ONLY)
+        (row,) = report.rows
+        assert row.condition is Condition.XAI_ONLY
         assert row.correctness.mean == pytest.approx(0.6)
         assert row.correctness.std == pytest.approx(0.1414, abs=1e-4)
 
     def test_single_value_std_is_zero(self):
         report = aggregate_report({Condition.XAI_ONLY: self._metrics(Condition.XAI_ONLY, [0.4])})
-        assert report.row(Condition.XAI_ONLY).correctness.std == 0.0
+        (row,) = report.rows
+        assert row.condition is Condition.XAI_ONLY
+        assert row.correctness.std == 0.0
 
     def test_pure_llm_row_omits_faithfulness(self):
         report = aggregate_report({Condition.PURE_LLM: self._metrics(Condition.PURE_LLM, [0.3])})
-        assert report.row(Condition.PURE_LLM).faithfulness is None
+        (row,) = report.rows
+        assert row.condition is Condition.PURE_LLM
+        assert row.faithfulness is None
 
     def test_empty_group_rejected(self):
         with pytest.raises(EmptyGroupError):
