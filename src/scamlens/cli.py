@@ -107,15 +107,19 @@ _JSON_TYPES: dict[str, tuple[type, ...]] = {
 def _cast(key: str, value: Any, annotation: str) -> Any:
     """`value` converted to the field type named by `annotation` if numeric,
     else checked against it: a "bool" field takes only a JSON boolean, a
-    "str" field only a string, and a "str | None" field a string or null."""
+    "str" field only a string, and a "str | None" field a string or null.
+    A numeric field refuses a JSON boolean, and an "int" field a fraction."""
     json_types = _JSON_TYPES.get(annotation)
-    if json_types is not None and not isinstance(value, json_types):
-        raise ConfigError(f"config key {key} must be {annotation}, got {value!r}")
     cast = _CASTS.get(annotation)
-    try:
-        return cast(value) if cast else value
-    except (TypeError, ValueError):
-        raise ConfigError(f"config key {key} must be {annotation}, got {value!r}") from None
+    refused = json_types is not None and not isinstance(value, json_types)
+    refused |= cast is not None and isinstance(value, bool)
+    refused |= cast is int and isinstance(value, float) and not value.is_integer()
+    if not refused:
+        try:
+            return cast(value) if cast else value
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"config key {key} must be {annotation}, got {value!r}")
 
 
 def _section(data: Mapping[str, Any], name: str, types: Mapping[str, str]) -> dict[str, Any]:
@@ -148,10 +152,13 @@ def parse_conditions(names: Sequence[str]) -> tuple[generation.Condition, ...]:
     out = []
     for name in names:
         try:
-            out.append(generation.Condition(name.strip()))
+            condition = generation.Condition(name.strip())
         except ValueError:
             valid = ", ".join(c.value for c in generation.Condition)
             raise ConfigError(f"unknown condition {name!r}; valid: {valid}") from None
+        if condition in out:
+            raise ConfigError(f"condition {condition.value!r} is listed more than once")
+        out.append(condition)
     if not out:
         raise ConfigError("condition list is empty")
     return tuple(out)
@@ -274,20 +281,6 @@ def _staged(name: str, stream: Iterable[_T]) -> Iterator[_T]:
         raise StageError(name, exc) from exc
 
 
-def _recorded(items: Iterable[_T], into: list[_T]) -> Iterator[_T]:
-    """`items`, each appended to `into` as it is read. Closing this stream
-    closes `items`, so a batch upstream is cancelled too."""
-    source = iter(items)
-    try:
-        for item in source:
-            into.append(item)
-            yield item
-    finally:
-        close = getattr(source, "close", None)
-        if close is not None:
-            close()
-
-
 def _load_corpus(config: RunConfig) -> corpus.MessageSet:
     if config.corpus_path:
         return corpus.load_jsonl(config.corpus_path)
@@ -394,12 +387,10 @@ def _score_all(
     evidence_by_id: Mapping[str, attribution.EvidenceSet],
 ) -> tuple[list[generation.Explanation], list[evaluation.MessageMetrics]]:
     """The explanations, read once by the NLI scorer, and their metrics, in input order."""
-    received: list[generation.Explanation] = []
-    stream = _recorded(explanations, received)
     if config.mock_nli:
-        all_scores = [evaluation.mock_score_nli(e) for e in stream]
+        scored = [(e, evaluation.mock_score_nli(e)) for e in explanations]
     else:
-        all_scores = evaluation.score_nli_many(config.nli, stream)
+        scored = evaluation.score_nli_many(config.nli, explanations)
     metrics = [
         evaluation.MessageMetrics(
             message_id=e.message_id,
@@ -410,9 +401,9 @@ def _score_all(
             if e.condition.wants_evidence
             else None,
         )
-        for e, scores in zip(received, all_scores)
+        for e, scores in scored
     ]
-    return received, metrics
+    return [e for e, _ in scored], metrics
 
 
 def _predict(
@@ -458,10 +449,7 @@ def _evaluate(
 
 
 def _report(metrics: Sequence[evaluation.MessageMetrics], out: Path) -> str:
-    grouped: dict[generation.Condition, list[evaluation.MessageMetrics]] = {}
-    for m in metrics:
-        grouped.setdefault(m.condition, []).append(m)
-    report = _stage("report", evaluation.aggregate_report, grouped)
+    report = _stage("report", evaluation.aggregate_report, metrics)
     _write_json(out / "report.json", evaluation.report_to_json(report))
     table = evaluation.render_report_table(report)
     (out / "report.txt").write_text(table, encoding="utf-8")

@@ -359,25 +359,6 @@ def embed(model: DetectorModel, tokenized: TokenizedInput) -> np.ndarray:
     return model.embedding[ids]
 
 
-def logit_from_embeddings(model: DetectorModel, piece_embeddings: np.ndarray) -> float:
-    """Scam logit for an explicit (n, d) embedding matrix."""
-    pooled = piece_embeddings.mean(axis=0)
-    return float(logits_from_pooled(model, pooled[None, :])[0])
-
-
-def grad_wrt_embeddings(model: DetectorModel, piece_embeddings: np.ndarray) -> np.ndarray:
-    """Exact gradient of the scam logit w.r.t. each piece embedding coordinate.
-
-    Mean pooling spreads the pooled gradient uniformly: every row of the
-    result equals grad_wrt_pooled(mean) / n.
-    """
-    _check_finite(model)
-    n = piece_embeddings.shape[0]
-    pooled = piece_embeddings.mean(axis=0)
-    g = grad_wrt_pooled(model, pooled[None, :])[0] / n
-    return np.tile(g, (n, 1))
-
-
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from statistics import mean, stdev
 from typing import Any, Iterable, Mapping, Sequence
@@ -61,7 +61,7 @@ class NoLettersError(EvaluationError):
 
 
 class EmptyGroupError(EvaluationError):
-    """A condition group has no scores to aggregate."""
+    """There are no metric rows to aggregate."""
 
 
 @dataclass(frozen=True)
@@ -189,11 +189,18 @@ def score_nli(config: EndpointConfig, explanation: Explanation) -> NliScores:
     )
 
 
-def score_nli_many(config: EndpointConfig, explanations: Iterable[Explanation]) -> list[NliScores]:
-    """Scores for `explanations`, in input order (see `generation.run_batch`).
-    `explanations` may be a lazy stream, such as `generation.generate_many`'s:
-    each is scored as soon as it is read."""
-    return list(run_batch(score_nli, config, explanations))
+def _scored(config: EndpointConfig, explanation: Explanation) -> tuple[Explanation, NliScores]:
+    # Calls `score_nli` through the module, so a wrapper patched onto it sees each request.
+    return explanation, score_nli(config, explanation)
+
+
+def score_nli_many(
+    config: EndpointConfig, explanations: Iterable[Explanation]
+) -> list[tuple[Explanation, NliScores]]:
+    """Each explanation with its scores, in input order (see
+    `generation.run_batch`). `explanations` may be a lazy stream, such as
+    `generation.generate_many`'s: each is scored as soon as it is read."""
+    return list(run_batch(_scored, config, explanations))
 
 
 # Fixed simplex points for the offline scorer, keyed by how many distinct
@@ -349,28 +356,21 @@ class ConditionReport:
     faithfulness: MeanStd | None
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    rows: tuple[ConditionReport, ...] = field(default_factory=tuple)
-
-
 def _mean_std(values: Sequence[float]) -> MeanStd:
     # Sample (n-1) standard deviation; defined as 0 for a single value.
     return MeanStd(mean=mean(values), std=stdev(values) if len(values) > 1 else 0.0)
 
 
-def aggregate_report(
-    per_condition: Mapping[Condition, Sequence[MessageMetrics]]
-) -> MetricReport:
-    """Mean and sample std per metric per condition, in `Condition` order.
-
-    Faithfulness is omitted for a condition without evidence.
-    """
+def aggregate_report(metrics: Sequence[MessageMetrics]) -> tuple[ConditionReport, ...]:
+    """Mean and sample std of each metric per condition with rows, in `Condition`
+    order. Faithfulness is omitted for a condition without evidence."""
+    if not metrics:
+        raise EmptyGroupError("no metric rows to aggregate")
     rows = []
-    for condition in [c for c in Condition if c in per_condition]:
-        group = per_condition[condition]
+    for condition in Condition:
+        group = [m for m in metrics if m.condition is condition]
         if not group:
-            raise EmptyGroupError(f"no scores for condition {condition.value}")
+            continue
         faith: MeanStd | None = None
         if condition.wants_evidence:
             values = [m.faithfulness for m in group]
@@ -388,14 +388,12 @@ def aggregate_report(
                 faithfulness=faith,
             )
         )
-    if not rows:
-        raise EmptyGroupError("no condition groups to aggregate")
-    return MetricReport(rows=tuple(rows))
+    return tuple(rows)
 
 
-def report_to_json(report: MetricReport) -> dict[str, object]:
+def report_to_json(report: Sequence[ConditionReport]) -> dict[str, object]:
     conditions = []
-    for row in report.rows:
+    for row in report:
         entry: dict[str, object] = {
             "condition": row.condition.value,
             "label": CONDITION_LABELS[row.condition],
@@ -410,11 +408,11 @@ def report_to_json(report: MetricReport) -> dict[str, object]:
     return {"conditions": conditions}
 
 
-def render_report_table(report: MetricReport) -> str:
+def render_report_table(report: Sequence[ConditionReport]) -> str:
     """Aligned plain-text table with one row per condition."""
     header = ("Condition", "Faithfulness", "Correctness", "FKGL")
     rows = [header]
-    for row in report.rows:
+    for row in report:
         faith = (
             "--"
             if row.faithfulness is None

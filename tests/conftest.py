@@ -50,6 +50,25 @@ def zero_model(vocab: Vocab | None = None, d: int = 4, h: int = 3) -> DetectorMo
     )
 
 
+def logit_from_embeddings(model: DetectorModel, piece_embeddings: np.ndarray) -> float:
+    """Scam logit for an explicit (n, d) embedding matrix: the oracle the
+    gradient tests difference."""
+    pooled = piece_embeddings.mean(axis=0)
+    return float(detector.logits_from_pooled(model, pooled[None, :])[0])
+
+
+def grad_wrt_embeddings(model: DetectorModel, piece_embeddings: np.ndarray) -> np.ndarray:
+    """Exact gradient of the scam logit w.r.t. each piece embedding coordinate.
+
+    Mean pooling spreads the pooled gradient uniformly: every row of the
+    result equals grad_wrt_pooled(mean) / n.
+    """
+    n = piece_embeddings.shape[0]
+    pooled = piece_embeddings.mean(axis=0)
+    g = detector.grad_wrt_pooled(model, pooled[None, :])[0] / n
+    return np.tile(g, (n, 1))
+
+
 @pytest.fixture(scope="session")
 def small_corpus() -> corpus.MessageSet:
     return corpus.synth_corpus(seed=7, per_channel_per_label=30)

@@ -16,14 +16,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_model
+from conftest import grad_wrt_embeddings, logit_from_embeddings, make_model
 from scamlens import cli, corpus
 from scamlens.attribution import AttributionConfig, EvidenceSet, completeness_gap, gradient_shap
 from scamlens.detector import (
     TokenizedInput,
     TrainConfig,
-    grad_wrt_embeddings,
-    logit_from_embeddings,
     tokenize,
     train,
 )

@@ -134,6 +134,10 @@ class TestConfig:
             ("train", {"limit": 0}, "limit"),
             ("train", {"d": 1}, "d"),
             ("train", {"h": 0}, "h"),
+            ("train", {"epochs": 2.7}, "epochs"),
+            ("train", {"lr": True}, "lr"),
+            ("synth", {"seed": True}, "seed"),
+            ("nli", {"base_url": "http://x", "max_retries": True}, "max_retries"),
         ],
     )
     def test_invalid_section_value_rejected(self, tmp_path, section, values, key):
@@ -174,6 +178,10 @@ class TestConfig:
             ('{"train": [1]}', "config section 'train' must be a JSON object"),
             ('{"synth": 7}', "config section 'synth' must be a JSON object"),
             ("[1, 2]", "config document must be a JSON object"),
+            ('{"train": {"epochs": 2.7}}', "config key train.epochs must be int, got 2.7"),
+            ('{"sample_seed": true}', "config key sample_seed must be int, got True"),
+            ('{"sample_fraction": true}', "config key sample_fraction must be float, got True"),
+            ('{"conditions": ["xai_only", "xai_only"]}', "condition 'xai_only' is listed more than once"),
         ],
         ids=[
             "unset_variable_in_list",
@@ -184,6 +192,10 @@ class TestConfig:
             "section_is_a_list",
             "section_is_a_number",
             "document_is_a_list",
+            "fractional_int",
+            "boolean_int",
+            "boolean_float",
+            "repeated_condition",
         ],
     )
     def test_rejected_config_document_fails_before_out_dir(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_model, make_vocab, zero_model
+from conftest import grad_wrt_embeddings, logit_from_embeddings, make_model, make_vocab, zero_model
 from scamlens.corpus import (
     MARKER_TOKENS,
     Channel,
@@ -37,9 +37,7 @@ from scamlens.detector import (
     _corpus_piece_ids,
     build_vocab,
     embed,
-    grad_wrt_embeddings,
     load_model,
-    logit_from_embeddings,
     macro_f1,
     predict_set,
     save_model,
@@ -336,21 +334,6 @@ class TestGradients:
         grads = grad_wrt_embeddings(model, x)
         assert np.allclose(grads, grads[0])
 
-    def test_non_finite_weights_rejected(self):
-        model = zero_model()
-        bad = model.embedding.copy()
-        bad[0, 0] = np.nan
-        model = DetectorModel(
-            vocab=model.vocab,
-            embedding=bad,
-            hidden_w=model.hidden_w,
-            hidden_b=model.hidden_b,
-            out_w=model.out_w,
-            out_b=model.out_b,
-        )
-        with pytest.raises(NonFiniteWeightsError):
-            grad_wrt_embeddings(model, np.zeros((2, model.dim)))
-
 
 class TestTrain:
     def test_reaches_high_validation_f1(self, trained_model):
@@ -501,6 +484,18 @@ class TestCheckpoint:
         save_model(trained_model, path)
         payload = json.loads(path.read_text())
         payload["out_b"] = float("nan")
+        path.write_text(json.dumps(payload))
+        with pytest.raises(NonFiniteWeightsError):
+            load_model(path)
+
+    def test_non_finite_embedding_checkpoint_rejected(self, tmp_path, trained_model):
+        # A NaN in a weight array, where the test above puts one in the scalar bias.
+        import json
+
+        path = tmp_path / "model.json"
+        save_model(trained_model, path)
+        payload = json.loads(path.read_text())
+        payload["embedding"][0][0] = float("nan")
         path.write_text(json.dumps(payload))
         with pytest.raises(NonFiniteWeightsError):
             load_model(path)

@@ -346,7 +346,8 @@ class TestScoreNli:
         ]
         explanations = [make_explanation(f"p{i}", mid=f"m{i}") for i in range(4)]
         results = score_nli_many(EndpointConfig(base_url=stub_server.url), explanations)
-        assert [r.p_entailment for r in results] == pytest.approx([0.1, 0.2, 0.3, 0.4])
+        assert [e for e, _ in results] == explanations
+        assert [s.p_entailment for _, s in results] == pytest.approx([0.1, 0.2, 0.3, 0.4])
 
 
 class TestMockNli:
@@ -496,27 +497,24 @@ class TestAggregateReport:
         ]
 
     def test_mean_and_sample_std(self):
-        report = aggregate_report({Condition.XAI_ONLY: self._metrics(Condition.XAI_ONLY, [0.5, 0.7])})
-        (row,) = report.rows
+        (row,) = aggregate_report(self._metrics(Condition.XAI_ONLY, [0.5, 0.7]))
         assert row.condition is Condition.XAI_ONLY
         assert row.correctness.mean == pytest.approx(0.6)
         assert row.correctness.std == pytest.approx(0.1414, abs=1e-4)
 
     def test_single_value_std_is_zero(self):
-        report = aggregate_report({Condition.XAI_ONLY: self._metrics(Condition.XAI_ONLY, [0.4])})
-        (row,) = report.rows
+        (row,) = aggregate_report(self._metrics(Condition.XAI_ONLY, [0.4]))
         assert row.condition is Condition.XAI_ONLY
         assert row.correctness.std == 0.0
 
     def test_pure_llm_row_omits_faithfulness(self):
-        report = aggregate_report({Condition.PURE_LLM: self._metrics(Condition.PURE_LLM, [0.3])})
-        (row,) = report.rows
+        (row,) = aggregate_report(self._metrics(Condition.PURE_LLM, [0.3]))
         assert row.condition is Condition.PURE_LLM
         assert row.faithfulness is None
 
     def test_empty_group_rejected(self):
         with pytest.raises(EmptyGroupError):
-            aggregate_report({Condition.XAI_ONLY: []})
+            aggregate_report([])
 
     def test_missing_faithfulness_in_evidence_condition_rejected(self):
         rows = [
@@ -529,33 +527,42 @@ class TestAggregateReport:
             )
         ]
         with pytest.raises(Exception):
-            aggregate_report({Condition.XAI_ONLY: rows})
+            aggregate_report(rows)
 
 
 class TestReportRendering:
+    @staticmethod
+    def _rows(order):
+        """Three metric rows per condition, read in `order`."""
+        return [
+            MessageMetrics(
+                message_id=f"{condition.value}-{i}",
+                condition=condition,
+                correctness=0.5 + 0.01 * i,
+                fkgl=10.0 + i,
+                faithfulness=None if condition is Condition.PURE_LLM else 1.0,
+            )
+            for condition, i in order
+        ]
+
     def _full_report(self):
-        groups = {}
-        for condition in Condition:
-            groups[condition] = [
-                MessageMetrics(
-                    message_id=f"{condition.value}-{i}",
-                    condition=condition,
-                    correctness=0.5 + 0.01 * i,
-                    fkgl=10.0 + i,
-                    faithfulness=None if condition is Condition.PURE_LLM else 1.0,
-                )
-                for i in range(3)
-            ]
-        return aggregate_report(groups)
+        return aggregate_report(self._rows((c, i) for c in Condition for i in range(3)))
 
     def test_four_rows_in_fixed_order(self):
         report = self._full_report()
-        assert [r.condition for r in report.rows] == [
+        assert [r.condition for r in report] == [
             Condition.PURE_LLM,
             Condition.XAI_ONLY,
             Condition.XAI_HIGH_VULNERABILITY,
             Condition.XAI_LOW_VULNERABILITY,
         ]
+
+    def test_interleaved_rows_are_grouped_in_condition_order(self):
+        # Rows interleaved across conditions, in reverse `Condition` order.
+        rows = self._rows((c, i) for i in range(3) for c in reversed(Condition))
+        report = aggregate_report(rows)
+        assert [(r.condition, r.n) for r in report] == [(c, 3) for c in Condition]
+        assert report == self._full_report()
 
     def test_text_table_shape(self):
         table = render_report_table(self._full_report())

@@ -73,22 +73,25 @@ def test_every_scamlens_name_the_benchmark_uses_resolves(name):
     assert missing == []
 
 
+def _silent_targets(spans, tmp_path, flags, **config):
+    """Names of the span targets that no call reached in one `pipeline --train` run."""
+    path = tmp_path / "config.json"
+    config = {"synth": {"per_channel_per_label": 25}, "sample_fraction": 0.2, **config}
+    path.write_text(json.dumps(config), encoding="utf-8")
+    tracer = spans.Tracer()
+    with tracer.installed():
+        argv = ["pipeline", "--config", str(path), "--train", "--out", str(tmp_path / "run"), *flags]
+        assert cli.main(argv) == 0
+    assert tracer.missing == []
+    fired = tracer.fired()
+    return {t.name for t in spans.TARGETS if not fired[t.name]}
+
+
 def test_every_wrapper_fires_on_a_mock_pipeline(spans, tmp_path):
     # A wrapper patched on the module fires only if the package calls the
     # function through the module attribute at run time; a by-name import
     # keeps the original and silently blanks the target's layer metric.
-    config = tmp_path / "config.json"
-    config.write_text(
-        json.dumps({"synth": {"per_channel_per_label": 25}, "sample_fraction": 0.2}),
-        encoding="utf-8",
-    )
-    tracer = spans.Tracer()
-    with tracer.installed():
-        argv = ["pipeline", "--config", str(config), "--mock", "--train", "--out", str(tmp_path / "run")]
-        assert cli.main(argv) == 0
-    assert tracer.missing == []
-    fired = tracer.fired()
-    silent = {t.name for t in spans.TARGETS if not fired[t.name]}
+    silent = _silent_targets(spans, tmp_path, ["--mock"])
     # Only a corpus file and the remote endpoints are left out by this run.
     assert silent == {
         "corpus.load_jsonl",
@@ -97,3 +100,24 @@ def test_every_wrapper_fires_on_a_mock_pipeline(spans, tmp_path):
         "evaluation.score_nli",
         "evaluation.score_nli_many",
     }
+
+
+def test_every_wrapper_fires_on_a_remote_pipeline(spans, tmp_path, stub_server, monkeypatch):
+    # The remote clients call `generate` and `score_nli` on worker threads,
+    # once per request, inside `generate_many` and `score_nli_many`.
+    monkeypatch.setenv("STUB_LLM_KEY", "k1")
+    def respond(path, body):
+        if path == "/chat/completions":
+            return {"choices": [{"message": {"content": "This urgent link is a scam."}}]}
+        return {"entailment": 0.7, "neutral": 0.2, "contradiction": 0.1}
+
+    stub_server.script = [{"status": 200, "body": respond}]
+    endpoint = {"base_url": stub_server.url, "max_retries": 0, "timeout": 10}
+    silent = _silent_targets(
+        spans,
+        tmp_path,
+        [],
+        llm={**endpoint, "model_name": "stub-model", "api_key_env_var": "STUB_LLM_KEY"},
+        nli=endpoint,
+    )
+    assert silent == {"corpus.load_jsonl", "generation.mock_generate", "evaluation.mock_score_nli"}
