@@ -9,13 +9,13 @@ by raw score means negatively attributed words sort to the bottom.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from . import lexicon
 from .corpus import MARKER_TOKENS
-from .detector import DetectorModel, TokenizedInput, embed, grad_wrt_pooled, logits_from_pooled
+from .detector import PAD_ID, DetectorModel, TokenizedInput, embed, grad_wrt_pooled, logits_from_pooled
 
 
 class AttributionError(Exception):
@@ -44,21 +44,6 @@ class AttributionConfig:
             raise ValueError("noise_std must be non-negative")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-
-
-@dataclass(frozen=True)
-class SubwordAttribution:
-    """Signed score per piece position."""
-
-    scores: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class WordAttribution:
-    """Signed score per word position, summed over that word's pieces."""
-
-    scores: dict[int, float]
-    words: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -93,8 +78,9 @@ def evidence_from_record(record: Mapping[str, Any]) -> tuple[str, EvidenceSet]:
 
 def gradient_shap(
     model: DetectorModel, tokenized: TokenizedInput, config: AttributionConfig
-) -> SubwordAttribution:
-    """Expected gradients of the scam logit against the all-PAD baseline.
+) -> tuple[float, ...]:
+    """Signed score per piece position: expected gradients of the scam logit
+    against the all-PAD baseline.
 
     Each sample draws an interpolation coefficient alpha uniform in [0, 1)
     and evaluates the gradient at baseline + alpha * (input - baseline) plus
@@ -108,7 +94,7 @@ def gradient_shap(
     """
     x = embed(model, tokenized)  # (n, d)
     n, d = x.shape
-    baseline_row = model.embedding[model.vocab.pad_id]
+    baseline_row = model.embedding[PAD_ID]
     diff = x - baseline_row  # broadcasts the PAD row across positions
 
     rng = np.random.default_rng(config.seed)
@@ -119,34 +105,34 @@ def gradient_shap(
 
     # Every position sees the pooled gradient scaled by 1/n.
     attribution = diff * (mean_grad / n)
-    scores = attribution.sum(axis=1)
-    return SubwordAttribution(tuple(float(s) for s in scores))
+    return tuple(float(s) for s in attribution.sum(axis=1))
 
 
 def completeness_gap(
-    model: DetectorModel, tokenized: TokenizedInput, attribution: SubwordAttribution
+    model: DetectorModel, tokenized: TokenizedInput, scores: tuple[float, ...]
 ) -> float:
     """|sum of piece scores - (logit(input) - logit(baseline))|."""
     x = embed(model, tokenized)
-    pooled = np.stack([x.mean(axis=0), model.embedding[model.vocab.pad_id]])
+    pooled = np.stack([x.mean(axis=0), model.embedding[PAD_ID]])
     logit_input, logit_baseline = logits_from_pooled(model, pooled)
-    return abs(sum(attribution.scores) - float(logit_input - logit_baseline))
+    return abs(sum(scores) - float(logit_input - logit_baseline))
 
 
-def aggregate_to_words(sub: SubwordAttribution, tokenized: TokenizedInput) -> WordAttribution:
-    """Word score = sum of its piece scores; conserves the total exactly."""
-    if len(sub.scores) != len(tokenized.alignment):
+def aggregate_to_words(scores: tuple[float, ...], tokenized: TokenizedInput) -> dict[int, float]:
+    """Word position -> sum of its piece scores; conserves the total exactly."""
+    if len(scores) != len(tokenized.alignment):
         raise AlignmentMismatchError(
-            f"{len(sub.scores)} piece scores vs alignment of {len(tokenized.alignment)}"
+            f"{len(scores)} piece scores vs alignment of {len(tokenized.alignment)}"
         )
-    scores: dict[int, float] = {}
-    for word_pos, score in zip(tokenized.alignment, sub.scores):
-        scores[word_pos] = scores.get(word_pos, 0.0) + score
-    return WordAttribution(scores=scores, words=tokenized.words)
+    by_word: dict[int, float] = {}
+    for word_pos, score in zip(tokenized.alignment, scores):
+        by_word[word_pos] = by_word.get(word_pos, 0.0) + score
+    return by_word
 
 
-def filter_evidence(words: WordAttribution, k: int) -> EvidenceSet:
+def filter_evidence(scores: Mapping[int, float], words: Sequence[str], k: int) -> EvidenceSet:
     """Drop stopwords and channel markers, keep risk tokens, take the top k.
+    `scores` maps positions in `words` to their scores.
 
     Risk tokens (URL-like, currency, emphatic punctuation) bypass the
     stopword drop. Ranking is by signed score descending with earlier word
@@ -155,13 +141,13 @@ def filter_evidence(words: WordAttribution, k: int) -> EvidenceSet:
     if k < 1:
         raise ValueError("k must be >= 1")
     survivors: list[tuple[float, int, str]] = []
-    for position in sorted(words.scores):
-        word = words.words[position]
+    for position in sorted(scores):
+        word = words[position]
         if word in MARKER_TOKENS:
             continue
         if not lexicon.is_risk_token(word) and lexicon.is_stopword_surface(word):
             continue
-        survivors.append((words.scores[position], position, word))
+        survivors.append((scores[position], position, word))
     survivors.sort(key=lambda item: (-item[0], item[1]))
     top = survivors[:k]
     return EvidenceSet(phrases=tuple((word, score) for score, _, word in top), k=k)

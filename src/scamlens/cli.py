@@ -108,7 +108,8 @@ def _cast(key: str, value: Any, annotation: str) -> Any:
     """`value` converted to the field type named by `annotation` if numeric,
     else checked against it: a "bool" field takes only a JSON boolean, a
     "str" field only a string, and a "str | None" field a string or null.
-    A numeric field refuses a JSON boolean, and an "int" field a fraction."""
+    A numeric field refuses a JSON boolean, an "int" field a fraction, and a
+    "float" field NaN and infinity."""
     json_types = _JSON_TYPES.get(annotation)
     cast = _CASTS.get(annotation)
     refused = json_types is not None and not isinstance(value, json_types)
@@ -116,7 +117,9 @@ def _cast(key: str, value: Any, annotation: str) -> Any:
     refused |= cast is int and isinstance(value, float) and not value.is_integer()
     if not refused:
         try:
-            return cast(value) if cast else value
+            result = cast(value) if cast else value
+            if cast is not float or math.isfinite(result):
+                return result
         except (TypeError, ValueError):
             pass
     raise ConfigError(f"config key {key} must be {annotation}, got {value!r}")
@@ -187,7 +190,10 @@ def load_run_config(path: str | Path | None) -> RunConfig:
     synth = _section(data, "synth", {key: run_types[f] for key, f in _SYNTH_KEYS.items()})
     fields.update((_SYNTH_KEYS[key], value) for key, value in synth.items())
     if "conditions" in data:
-        fields["conditions"] = parse_conditions(data["conditions"])
+        names = data["conditions"]
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise ConfigError(f"config key conditions must be a list of names, got {names!r}")
+        fields["conditions"] = parse_conditions(names)
     llm, llm_extra = _stage_config(data, "llm", generation.LlmClientConfig, mock="bool")
     nli, nli_extra = _stage_config(data, "nli", generation.EndpointConfig, mock="bool")
     return RunConfig(
@@ -337,9 +343,9 @@ def _compute_evidence(
         tokenized = detector.tokenize(
             corpus.format_input(message), model.vocab, model.piece_limit
         )
-        sub = attribution.gradient_shap(model, tokenized, config.attribution)
-        words = attribution.aggregate_to_words(sub, tokenized)
-        evidence = attribution.filter_evidence(words, config.attribution.k)
+        scores = attribution.gradient_shap(model, tokenized, config.attribution)
+        by_word = attribution.aggregate_to_words(scores, tokenized)
+        evidence = attribution.filter_evidence(by_word, tokenized.words, config.attribution.k)
         if evidence.phrases:
             kept.append((message, evidence))
     return kept, len(messages) - len(kept)

@@ -120,21 +120,14 @@ class MessageSet:
         return iter(self.messages)
 
 
-def ingest(records: Iterable[Mapping[str, Any]], channel: Channel) -> MessageSet:
-    """Turn raw field-maps into Messages on `channel` with `message_from_record`;
-    the source defaults to "ingest"."""
-    return _message_set(map(_raw_parser(channel), records), "ingest")
-
-
 def ingest_jsonl(path: str | Path, channel: Channel) -> MessageSet:
-    """`ingest` over a JSON-lines file of raw field-maps."""
-    return _message_set(read_jsonl(path, _raw_parser(channel)), path)
+    """A JSON-lines file of raw field-maps as Messages on `channel`, each parsed
+    by `message_from_record`; the source defaults to "ingest"."""
+    def parse(raw: Mapping[str, Any]) -> Message:
+        source = raw.get("source") or "ingest"
+        return message_from_record({**raw, "channel": channel.value, "source": source})
 
-
-def _raw_parser(channel: Channel) -> Callable[[Mapping[str, Any]], Message]:
-    return lambda r: message_from_record(
-        {**r, "channel": channel.value, "source": r.get("source") or "ingest"}
-    )
+    return _message_set(read_jsonl(path, parse), path)
 
 
 def format_input(message: Message) -> FormattedText:

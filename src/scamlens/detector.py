@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,6 +49,8 @@ UNK_PIECE = "<unk>"
 SPECIAL_PIECES: tuple[str, ...] = (PAD_PIECE, UNK_PIECE) + tuple(
     CHANNEL_MARKERS[ch] for ch in CHANNEL_MARKERS
 )
+# Every vocabulary starts with SPECIAL_PIECES (`Vocab.from_pieces`).
+PAD_ID, UNK_ID = 0, 1
 
 MAX_NGRAM = 4
 DEFAULT_PIECE_LIMIT = 512
@@ -95,14 +96,6 @@ class Vocab:
     pieces: tuple[str, ...]
     index: Mapping[str, int] = field(repr=False)
     max_piece_len: int
-
-    @property
-    def pad_id(self) -> int:
-        return 0
-
-    @property
-    def unk_id(self) -> int:
-        return 1
 
     def __len__(self) -> int:
         return len(self.pieces)
@@ -203,7 +196,7 @@ def _segment_word(word: str, vocab: Vocab) -> list[int]:
                 matched = True
                 break
         if not matched:
-            ids.append(vocab.unk_id)
+            ids.append(UNK_ID)
             i += 1
     return ids
 
@@ -270,9 +263,9 @@ class DetectorModel:
     """Embedding table + mean pooling + one hidden layer + logistic output.
 
     The "identity" activation exists for linear test fixtures only; real
-    models use tanh. Construction stores float64 read-only copies of the
-    weight arrays, so a model's weights never change after it is built and
-    the caller's arrays stay independent of it.
+    models use tanh. Construction refuses non-finite weights and stores
+    float64 read-only copies of the weight arrays, so a model's weights never
+    change after it is built and the caller's arrays stay independent of it.
     """
 
     vocab: Vocab
@@ -308,18 +301,12 @@ class DetectorModel:
                 raise ValueError(f"{name} must have shape {shape}, got {getattr(self, name).shape}")
         if d < 2 or h < 1:
             raise ValueError("embedding dim must be >= 2 and hidden dim >= 1")
+        if not all(np.isfinite(getattr(self, name)).all() for name in (*expected, "out_b")):
+            raise NonFiniteWeightsError("model weights contain non-finite values")
 
     @property
     def dim(self) -> int:
         return self.embedding.shape[1]
-
-
-def _check_finite(model: DetectorModel) -> None:
-    for array in (model.embedding, model.hidden_w, model.hidden_b, model.out_w):
-        if not np.all(np.isfinite(array)):
-            raise NonFiniteWeightsError("model weights contain non-finite values")
-    if not math.isfinite(model.out_b):
-        raise NonFiniteWeightsError("model weights contain non-finite values")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -659,5 +646,4 @@ def load_model(path: str | Path) -> DetectorModel:
         raise CheckpointFormatError(
             f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})"
         ) from None
-    _check_finite(model)
     return model

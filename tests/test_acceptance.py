@@ -104,8 +104,8 @@ def test_criterion_2_linear_fixture_completeness():
     worst = 0.0
     for n_samples in (1, 16, 256):
         config = AttributionConfig(n_samples=n_samples, noise_std=0.0, seed=3)
-        sub = gradient_shap(model, tok, config)
-        gap = completeness_gap(model, tok, sub)
+        scores = gradient_shap(model, tok, config)
+        gap = completeness_gap(model, tok, scores)
         assert gap <= 1e-9, n_samples
         worst = max(worst, gap)
     elapsed = time.perf_counter() - started

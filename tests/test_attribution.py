@@ -13,8 +13,6 @@ from scamlens.attribution import (
     AlignmentMismatchError,
     AttributionConfig,
     EvidenceSet,
-    SubwordAttribution,
-    WordAttribution,
     ZeroSamplesError,
     aggregate_to_words,
     completeness_gap,
@@ -24,7 +22,7 @@ from scamlens.attribution import (
     gradient_shap,
 )
 from scamlens.corpus import format_input
-from scamlens.detector import TokenizedInput, tokenize
+from scamlens.detector import PAD_ID, TokenizedInput, tokenize
 
 
 def frozen_random_model(seed=0, activation="tanh"):
@@ -40,19 +38,25 @@ def simple_input(model, n=6, start=5):
 class TestGradientShap:
     def test_baseline_input_gets_zero_scores(self):
         model = frozen_random_model(1)
-        pad = model.vocab.pad_id
-        tok = TokenizedInput((pad, pad, pad), (0, 1, 2), ("a", "b", "c"))
-        sub = gradient_shap(model, tok, AttributionConfig(n_samples=8, seed=0))
-        assert all(s == 0.0 for s in sub.scores)
+        tok = TokenizedInput((PAD_ID,) * 3, (0, 1, 2), ("a", "b", "c"))
+        scores = gradient_shap(model, tok, AttributionConfig(n_samples=8, seed=0))
+        assert scores == (0.0, 0.0, 0.0)
+
+    def test_one_python_float_per_piece(self):
+        model = frozen_random_model(1)
+        tok = simple_input(model)
+        scores = gradient_shap(model, tok, AttributionConfig(n_samples=8, seed=0))
+        assert isinstance(scores, tuple) and len(scores) == len(tok.piece_ids)
+        assert all(type(s) is float for s in scores)
 
     @pytest.mark.parametrize("n_samples", [1, 16, 256])
     def test_linear_model_completeness(self, n_samples):
         model = frozen_random_model(2, activation="identity")
         tok = simple_input(model)
-        sub = gradient_shap(
+        scores = gradient_shap(
             model, tok, AttributionConfig(n_samples=n_samples, noise_std=0.0, seed=9)
         )
-        assert completeness_gap(model, tok, sub) < 1e-9
+        assert completeness_gap(model, tok, scores) < 1e-9
 
     def test_deterministic_given_seed(self):
         model = frozen_random_model(3)
@@ -84,12 +88,12 @@ class TestGradientShap:
                 tok = tokenize(
                     format_input(message), frozen_model.vocab, frozen_model.piece_limit
                 )
-                sub = gradient_shap(
+                scores = gradient_shap(
                     frozen_model,
                     tok,
                     AttributionConfig(n_samples=n_samples, noise_std=0.0, seed=100 + i),
                 )
-                total += completeness_gap(frozen_model, tok, sub)
+                total += completeness_gap(frozen_model, tok, scores)
             return total / len(scams)
 
         assert mean_gap(1024) <= mean_gap(16)
@@ -121,18 +125,18 @@ class TestGradientShap:
 class TestAggregateToWords:
     def test_pieces_sum_into_their_word(self):
         tok = TokenizedInput((5, 6), (0, 0), ("winner",))
-        out = aggregate_to_words(SubwordAttribution((0.2, 0.3)), tok)
-        assert out.scores == {0: pytest.approx(0.5)}
+        out = aggregate_to_words((0.2, 0.3), tok)
+        assert out == {0: pytest.approx(0.5)}
 
     def test_single_piece_word_is_identity(self):
         tok = TokenizedInput((5,), (0,), ("urgent",))
-        out = aggregate_to_words(SubwordAttribution((0.7,)), tok)
-        assert out.scores == {0: 0.7}
+        out = aggregate_to_words((0.7,), tok)
+        assert out == {0: 0.7}
 
     def test_length_mismatch_rejected(self):
         tok = TokenizedInput((5,), (0,), ("urgent",))
         with pytest.raises(AlignmentMismatchError):
-            aggregate_to_words(SubwordAttribution((0.1, 0.2)), tok)
+            aggregate_to_words((0.1, 0.2), tok)
 
     @given(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=10), st.data())
     @settings(max_examples=50)
@@ -149,61 +153,59 @@ class TestAggregateToWords:
         tok = TokenizedInput(
             tuple(5 for _ in alignment), alignment, tuple(f"w{i}" for i in pieces_per_word)
         )
-        out = aggregate_to_words(SubwordAttribution(scores), tok)
-        assert sum(out.scores.values()) == pytest.approx(sum(scores), abs=1e-12)
+        out = aggregate_to_words(scores, tok)
+        assert sum(out.values()) == pytest.approx(sum(scores), abs=1e-12)
 
 
 class TestFilterEvidence:
     def test_stopword_dropped_content_word_kept(self):
-        words = WordAttribution(scores={0: 0.9, 1: 0.5}, words=("the", "urgent"))
-        out = filter_evidence(words, k=5)
+        scores, words = {0: 0.9, 1: 0.5}, ("the", "urgent")
+        out = filter_evidence(scores, words, k=5)
         assert out.words() == ("urgent",)
 
     def test_currency_token_bypasses_stopword_filter(self):
-        words = WordAttribution(scores={0: 0.9, 1: 0.1}, words=("the", "$500"))
-        out = filter_evidence(words, k=5)
+        scores, words = {0: 0.9, 1: 0.1}, ("the", "$500")
+        out = filter_evidence(scores, words, k=5)
         assert out.words() == ("$500",)
 
     def test_top_k_by_score(self):
-        words = WordAttribution(
-            scores={0: 0.1, 1: 0.5, 2: 0.3, 3: 0.9, 4: 0.2},
-            words=("alpha", "bravo", "charlie", "delta", "echo"),
-        )
-        out = filter_evidence(words, k=2)
+        scores = {0: 0.1, 1: 0.5, 2: 0.3, 3: 0.9, 4: 0.2}
+        words = ("alpha", "bravo", "charlie", "delta", "echo")
+        out = filter_evidence(scores, words, k=2)
         assert out.words() == ("delta", "bravo")
 
     def test_ties_break_toward_earlier_position(self):
-        words = WordAttribution(scores={0: 0.5, 1: 0.5}, words=("bravo", "alpha"))
-        out = filter_evidence(words, k=1)
+        scores, words = {0: 0.5, 1: 0.5}, ("bravo", "alpha")
+        out = filter_evidence(scores, words, k=1)
         assert out.words() == ("bravo",)
 
     def test_channel_marker_never_appears(self):
-        words = WordAttribution(scores={0: 5.0, 1: 0.1}, words=("<SMS>", "urgent"))
-        out = filter_evidence(words, k=5)
+        scores, words = {0: 5.0, 1: 0.1}, ("<SMS>", "urgent")
+        out = filter_evidence(scores, words, k=5)
         assert out.words() == ("urgent",)
 
     def test_emphatic_stopword_retained(self):
-        words = WordAttribution(scores={0: 0.4}, words=("the!!",))
-        out = filter_evidence(words, k=5)
+        scores, words = {0: 0.4}, ("the!!",)
+        out = filter_evidence(scores, words, k=5)
         assert out.words() == ("the!!",)
 
     def test_url_like_token_retained(self):
-        words = WordAttribution(scores={0: -0.2}, words=("bit.ly/abc12",))
-        out = filter_evidence(words, k=3)
+        scores, words = {0: -0.2}, ("bit.ly/abc12",)
+        out = filter_evidence(scores, words, k=3)
         assert out.words() == ("bit.ly/abc12",)
 
     def test_k_must_be_positive(self):
-        words = WordAttribution(scores={0: 0.1}, words=("urgent",))
+        scores, words = {0: 0.1}, ("urgent",)
         with pytest.raises(ValueError):
-            filter_evidence(words, k=0)
+            filter_evidence(scores, words, k=0)
 
     def test_result_never_exceeds_k(self):
         with pytest.raises(ValueError):
             EvidenceSet(phrases=(("a", 0.1), ("b", 0.2)), k=1)
 
     def test_empty_result_is_legal(self):
-        words = WordAttribution(scores={0: 0.9}, words=("the",))
-        out = filter_evidence(words, k=5)
+        scores, words = {0: 0.9}, ("the",)
+        out = filter_evidence(scores, words, k=5)
         assert out.phrases == ()
 
 
@@ -213,9 +215,8 @@ class TestEndToEndEvidence:
 
         scam = next(m for m in small_corpus if m.label is Label.SCAM)
         tok = tokenize(format_input(scam), frozen_model.vocab, frozen_model.piece_limit)
-        sub = gradient_shap(frozen_model, tok, AttributionConfig(n_samples=64, seed=0))
-        words = aggregate_to_words(sub, tok)
-        evidence = filter_evidence(words, k=8)
+        piece_scores = gradient_shap(frozen_model, tok, AttributionConfig(n_samples=64, seed=0))
+        evidence = filter_evidence(aggregate_to_words(piece_scores, tok), tok.words, k=8)
         assert 1 <= len(evidence.phrases) <= 8
         listed = [w for w, _ in evidence.phrases]
         assert all(w in tok.words for w in listed)
@@ -230,8 +231,8 @@ class TestEndToEndEvidence:
         config = AttributionConfig(n_samples=32, seed=2)
         for message in scams:
             tok = tokenize(format_input(message), frozen_model.vocab, frozen_model.piece_limit)
-            words = aggregate_to_words(gradient_shap(frozen_model, tok, config), tok)
-            for word, _ in filter_evidence(words, k=8).phrases:
+            scores = aggregate_to_words(gradient_shap(frozen_model, tok, config), tok)
+            for word, _ in filter_evidence(scores, tok.words, k=8).phrases:
                 assert word not in MARKER_TOKENS
                 assert is_risk_token(word) or not is_stopword_surface(word)
 

@@ -146,6 +146,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"{section}.*{key}"):
             load_run_config(path)
 
+    @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "Infinity"])
+    def test_interpolated_float_refuses_non_finite(self, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("LEARNING_RATE", value)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"train": {"lr": "${LEARNING_RATE}"}}))
+        with pytest.raises(ConfigError, match=rf"^config key train.lr must be float, got '{value}'$"):
+            load_run_config(path)
+
     def test_sections_parse_into_stage_configs(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ATTRIBUTION_SEED", "11")
         path = tmp_path / "config.json"
@@ -182,6 +190,11 @@ class TestConfig:
             ('{"sample_seed": true}', "config key sample_seed must be int, got True"),
             ('{"sample_fraction": true}', "config key sample_fraction must be float, got True"),
             ('{"conditions": ["xai_only", "xai_only"]}', "condition 'xai_only' is listed more than once"),
+            ('{"attribution": {"noise_std": NaN}}', "config key attribution.noise_std must be float, got nan"),
+            ('{"train": {"lr": Infinity}}', "config key train.lr must be float, got inf"),
+            ('{"sample_fraction": -Infinity}', "config key sample_fraction must be float, got -inf"),
+            ('{"conditions": ["xai_only", 5]}', "config key conditions must be a list of names, got ['xai_only', 5]"),
+            ('{"conditions": "xai_only"}', "config key conditions must be a list of names, got 'xai_only'"),
         ],
         ids=[
             "unset_variable_in_list",
@@ -196,6 +209,11 @@ class TestConfig:
             "boolean_int",
             "boolean_float",
             "repeated_condition",
+            "nan_float",
+            "infinite_float",
+            "negative_infinite_float",
+            "non_string_condition",
+            "conditions_not_a_list",
         ],
     )
     def test_rejected_config_document_fails_before_out_dir(

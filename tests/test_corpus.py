@@ -14,15 +14,13 @@ from scamlens.corpus import (
     Channel,
     CorpusError,
     InsufficientDataError,
-    InvalidLabelError,
     Label,
     Message,
     MessageSet,
-    MissingFieldError,
     MissingPredictionError,
     filter_for_explanation,
     format_input,
-    ingest,
+    ingest_jsonl,
     load_jsonl,
     save_jsonl,
     stratified_sample,
@@ -37,43 +35,49 @@ def _corpus_text(message_set) -> str:
     )
 
 
+def ingest(tmp_path, records, channel, name="raw.jsonl"):
+    path = tmp_path / name
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return ingest_jsonl(path, channel)
+
+
 class TestIngest:
-    def test_sms_spam_record_maps_to_scam(self):
-        ms = ingest([{"body": "Win cash now", "label": "spam"}], Channel.SMS)
+    def test_sms_spam_record_maps_to_scam(self, tmp_path):
+        ms = ingest(tmp_path, [{"body": "Win cash now", "label": "spam"}], Channel.SMS)
         assert len(ms) == 1
         assert ms.messages[0].channel is Channel.SMS
         assert ms.messages[0].label is Label.SCAM
         assert ms.messages[0].subject is None
 
-    def test_email_record_keeps_subject_and_body(self):
+    def test_email_record_keeps_subject_and_body(self, tmp_path):
         ms = ingest(
-            [{"subject": "Invoice", "body": "Pay today", "label": "ham"}], Channel.EMAIL
+            tmp_path, [{"subject": "Invoice", "body": "Pay today", "label": "ham"}], Channel.EMAIL
         )
         assert ms.messages[0].subject == "Invoice"
         assert ms.messages[0].body == "Pay today"
         assert ms.messages[0].label is Label.HAM
 
-    def test_missing_body_raises(self):
-        with pytest.raises(MissingFieldError):
-            ingest([{"label": "spam"}], Channel.SMS)
+    def test_missing_body_raises(self, tmp_path):
+        with pytest.raises(CorpusError, match="MissingFieldError"):
+            ingest(tmp_path, [{"label": "spam"}], Channel.SMS)
 
-    def test_missing_label_raises(self):
-        with pytest.raises(MissingFieldError):
-            ingest([{"body": "hello"}], Channel.SMS)
+    def test_missing_label_raises(self, tmp_path):
+        with pytest.raises(CorpusError, match="MissingFieldError"):
+            ingest(tmp_path, [{"body": "hello"}], Channel.SMS)
 
-    def test_unmappable_label_raises(self):
-        with pytest.raises(InvalidLabelError):
-            ingest([{"body": "hello", "label": "unsure"}], Channel.SMS)
+    def test_unmappable_label_raises(self, tmp_path):
+        with pytest.raises(CorpusError, match="InvalidLabelError"):
+            ingest(tmp_path, [{"body": "hello", "label": "unsure"}], Channel.SMS)
 
-    def test_ids_are_deterministic_from_order_and_source(self):
+    def test_ids_are_deterministic_from_order_and_source(self, tmp_path):
         records = [{"body": "a", "label": "ham", "source": "src"} for _ in range(2)]
-        first = ingest(records, Channel.SNS)
-        second = ingest(records, Channel.SNS)
+        first = ingest(tmp_path, records, Channel.SNS, name="first.jsonl")
+        second = ingest(tmp_path, records, Channel.SNS, name="second.jsonl")
         assert [m.id for m in first] == [m.id for m in second]
         assert len({m.id for m in first}) == 2
 
-    def test_subject_ignored_outside_email(self):
-        ms = ingest([{"subject": "hey", "body": "text", "label": "ham"}], Channel.SMS)
+    def test_subject_ignored_outside_email(self, tmp_path):
+        ms = ingest(tmp_path, [{"subject": "hey", "body": "text", "label": "ham"}], Channel.SMS)
         assert ms.messages[0].subject is None
 
 

@@ -22,7 +22,11 @@ from scamlens.corpus import (
 from scamlens.detector import (
     CHECKPOINT_FORMAT,
     MAX_NGRAM,
+    PAD_ID,
+    PAD_PIECE,
     SPECIAL_PIECES,
+    UNK_ID,
+    UNK_PIECE,
     CheckpointFormatError,
     CorpusEmptyError,
     DetectorModel,
@@ -204,6 +208,12 @@ class TestTrainPieceIds:
 
 
 class TestTokenize:
+    def test_special_ids_are_their_pieces_positions(self):
+        assert SPECIAL_PIECES[PAD_ID] == PAD_PIECE
+        assert SPECIAL_PIECES[UNK_ID] == UNK_PIECE
+        vocab = make_vocab()
+        assert (vocab.index[PAD_PIECE], vocab.index[UNK_PIECE]) == (PAD_ID, UNK_ID)
+
     def test_greedy_longest_match_with_alignment(self):
         vocab = make_vocab("win", "ner")
         tok = tokenize(FormattedText("<SMS> winner", "<SMS>"), vocab)
@@ -226,13 +236,13 @@ class TestTokenize:
         tok = tokenize(FormattedText("<SNS> zqxj", "<SNS>"), vocab)
         pieces = [vocab.pieces[i] for i in tok.piece_ids[1:]]
         assert pieces == ["z", "q", "x", "j"]
-        assert vocab.unk_id not in tok.piece_ids
+        assert UNK_ID not in tok.piece_ids
         assert set(tok.alignment[1:]) == {1}
 
     def test_unseen_character_maps_to_unk(self):
         vocab = make_vocab()
         tok = tokenize(FormattedText("<SNS> aωb", "<SNS>"), vocab)
-        assert vocab.unk_id in tok.piece_ids
+        assert UNK_ID in tok.piece_ids
 
     def test_front_truncation_reindexes_pieces_not_words(self):
         vocab = make_vocab()
@@ -415,6 +425,19 @@ class TestImmutability:
             with pytest.raises(ValueError):
                 array[0] = 1.0
             assert np.array_equal(array, getattr(trained_model, name))
+
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", [*WEIGHT_NAMES, "out_b"])
+    def test_non_finite_weight_rejected_at_construction(self, trained_model, name, bad):
+        weights = {w: getattr(trained_model, w).copy() for w in WEIGHT_NAMES}
+        weights["out_b"] = trained_model.out_b
+        if name == "out_b":
+            weights[name] = bad
+        else:
+            weights[name].flat[-1] = bad
+        with pytest.raises(NonFiniteWeightsError):
+            DetectorModel(vocab=trained_model.vocab, **weights)
 
 
 class TestMacroF1:
