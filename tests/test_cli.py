@@ -539,6 +539,41 @@ class TestPipelineCommand:
             "xai_low_vulnerability",
         ]
 
+    @pytest.mark.parametrize(
+        "stage, target",
+        [
+            ("corpus", "corpus.synth_corpus"),
+            ("model", "detector.train"),
+            ("predict", "detector.predict_set"),
+            ("filter", "corpus.filter_for_explanation"),
+            ("subset", "cli._explanation_subset"),
+            ("attribution", "attribution.gradient_shap"),
+            ("prompts", "generation.build_prompt"),
+            ("generate", "generation.mock_generate"),
+            ("evaluate", "evaluation.fkgl"),
+            ("report", "evaluation.aggregate_report"),
+        ],
+    )
+    def test_every_stage_names_itself(self, tmp_path, capsys, monkeypatch, stage, target):
+        boom = RuntimeError("boom")
+
+        def fail(*args, **kwargs):
+            raise boom
+
+        monkeypatch.setattr(f"scamlens.{target}", fail)
+        config_path = write_config(tmp_path)
+        rc = cli.main(["pipeline", "--config", str(config_path), "--mock", "--train", "--out", str(tmp_path / "a")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: stage '{stage}' failed: boom\n"
+
+        config = load_run_config(config_path)
+        config.mock_llm = config.mock_nli = True
+        config.out_dir = str(tmp_path / "b")
+        with pytest.raises(cli.StageError) as info:
+            cli.run_pipeline(config, allow_train=True)
+        assert info.value.stage == stage
+        assert info.value.__cause__ is boom
+
 
 def _stub_answer(path, body):
     if path == "/chat/completions":
