@@ -10,6 +10,7 @@ never land in run manifests.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -264,11 +265,12 @@ def _resolve_out_dir(out_dir: str | None) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _stage(name: str, fn, *args, **kwargs):
-    """`fn(*args, **kwargs)`, its failure raised as a StageError naming `name`.
+@contextlib.contextmanager
+def _stage(name: str) -> Iterator[None]:
+    """Its block run as stage `name`, a failure raised as a StageError naming it.
     A StageError from a stream that an earlier stage handed on keeps its name."""
     try:
-        return fn(*args, **kwargs)
+        yield
     except StageError:
         raise
     except Exception as exc:
@@ -279,18 +281,10 @@ _T = TypeVar("_T")
 
 
 def _staged(name: str, stream: Iterable[_T]) -> Iterator[_T]:
-    """`stream`, its failures raised as a StageError naming `name`, so a lazy
-    stream read by a later stage still names the stage that made it."""
-    try:
+    """`stream` read as stage `name`, so a lazy stream read by a later stage
+    still names the stage that made it."""
+    with _stage(name):
         yield from stream
-    except Exception as exc:
-        raise StageError(name, exc) from exc
-
-
-def _load_corpus(config: RunConfig) -> corpus.MessageSet:
-    if config.corpus_path:
-        return corpus.load_jsonl(config.corpus_path)
-    return corpus.synth_corpus(config.synth_seed, config.synth_per_stratum)
 
 
 _GENERATOR_MISSING = "remote generation needs llm.base_url and llm.model_name, or --mock"
@@ -304,17 +298,6 @@ def _check_endpoint(mock: bool, endpoint: generation.EndpointConfig | None, miss
     if endpoint is None:
         raise ConfigError(missing)
     generation.auth_headers(endpoint)
-
-
-def _load_or_train_model(
-    config: RunConfig, messages: corpus.MessageSet, out: Path
-) -> tuple[detector.DetectorModel, Path]:
-    model_path = Path(config.model_path) if config.model_path else out / "model.json"
-    if model_path.exists():
-        return detector.load_model(model_path), model_path
-    model = detector.train(messages, detector.TrainConfig(**config.train))
-    detector.save_model(model, model_path)
-    return model, model_path
 
 
 def _explanation_subset(
@@ -387,35 +370,11 @@ def _generate_all(
     return _staged("generate", generation.generate_many(config.llm, prompts))
 
 
-def _score_all(
-    config: RunConfig,
-    explanations: Iterable[generation.Explanation],
-    evidence_by_id: Mapping[str, attribution.EvidenceSet],
-) -> tuple[list[generation.Explanation], list[evaluation.MessageMetrics]]:
-    """The explanations, read once by the NLI scorer, and their metrics, in input order."""
-    if config.mock_nli:
-        scored = [(e, evaluation.mock_score_nli(e)) for e in explanations]
-    else:
-        scored = evaluation.score_nli_many(config.nli, explanations)
-    metrics = [
-        evaluation.MessageMetrics(
-            message_id=e.message_id,
-            condition=e.condition,
-            correctness=evaluation.correctness(scores, config.evaluation),
-            fkgl=evaluation.fkgl(e.text).fkgl,
-            faithfulness=evaluation.faithfulness(evidence_by_id[e.message_id], e)
-            if e.condition.wants_evidence
-            else None,
-        )
-        for e, scores in scored
-    ]
-    return [e for e, _ in scored], metrics
-
-
 def _predict(
     model: detector.DetectorModel, messages: corpus.MessageSet, path: Path
 ) -> dict[str, detector.Prediction]:
-    predictions = _stage("predict", detector.predict_set, model, messages)
+    with _stage("predict"):
+        predictions = detector.predict_set(model, messages)
     records = (detector.prediction_to_record(mid, p) for mid, p in predictions.items())
     corpus.write_jsonl(path, records)
     return predictions
@@ -427,15 +386,18 @@ def _explain(
     """Returns evidence by message id, the empty-evidence count and the
     explanations, which a remote generator yields as a lazy stream (see
     `_generate_all`)."""
-    with_evidence, dropped = _stage("attribution", _compute_evidence, config, model, messages)
+    with _stage("attribution"):
+        with_evidence, dropped = _compute_evidence(config, model, messages)
     if not with_evidence:
         raise ConfigError("every message to explain produced an empty evidence set")
     corpus.write_jsonl(
         out / "evidence.jsonl",
         (attribution.evidence_to_record(m.id, e, config.attribution.seed) for m, e in with_evidence),
     )
-    prompts = _stage("prompts", _build_prompts, config, with_evidence)
-    explanations = _stage("generate", _generate_all, config, prompts)
+    with _stage("prompts"):
+        prompts = _build_prompts(config, with_evidence)
+    with _stage("generate"):
+        explanations = _generate_all(config, prompts)
     return {message.id: evidence for message, evidence in with_evidence}, dropped, explanations
 
 
@@ -449,13 +411,31 @@ def _evaluate(
     evidence_by_id: Mapping[str, attribution.EvidenceSet],
     path: Path,
 ) -> tuple[list[generation.Explanation], list[evaluation.MessageMetrics]]:
-    received, metrics = _stage("evaluate", _score_all, config, explanations, evidence_by_id)
+    """The explanations, read once by the NLI scorer, and their metrics, in input order."""
+    with _stage("evaluate"):
+        if config.mock_nli:
+            scored = [(e, evaluation.mock_score_nli(e)) for e in explanations]
+        else:
+            scored = evaluation.score_nli_many(config.nli, explanations)
+        metrics = [
+            evaluation.MessageMetrics(
+                message_id=e.message_id,
+                condition=e.condition,
+                correctness=evaluation.correctness(scores, config.evaluation),
+                fkgl=evaluation.fkgl(e.text).fkgl,
+                faithfulness=evaluation.faithfulness(evidence_by_id[e.message_id], e)
+                if e.condition.wants_evidence
+                else None,
+            )
+            for e, scores in scored
+        ]
     corpus.write_jsonl(path, map(evaluation.metrics_to_record, metrics))
-    return received, metrics
+    return [e for e, _ in scored], metrics
 
 
 def _report(metrics: Sequence[evaluation.MessageMetrics], out: Path) -> str:
-    report = _stage("report", evaluation.aggregate_report, metrics)
+    with _stage("report"):
+        report = evaluation.aggregate_report(metrics)
     _write_json(out / "report.json", evaluation.report_to_json(report))
     table = evaluation.render_report_table(report)
     (out / "report.txt").write_text(table, encoding="utf-8")
@@ -471,20 +451,32 @@ def run_pipeline(config: RunConfig, allow_train: bool) -> Path:
         )
     out = _resolve_out_dir(config.out_dir)
 
-    messages = _stage("corpus", _load_corpus, config)
+    with _stage("corpus"):
+        if config.corpus_path:
+            messages = corpus.load_jsonl(config.corpus_path)
+        else:
+            messages = corpus.synth_corpus(config.synth_seed, config.synth_per_stratum)
     corpus.save_jsonl(messages, out / "corpus.jsonl")
 
-    model, model_path = _stage("model", _load_or_train_model, config, messages, out)
+    model_path = Path(config.model_path) if config.model_path else out / "model.json"
+    with _stage("model"):
+        if model_path.exists():
+            model = detector.load_model(model_path)
+        else:
+            model = detector.train(messages, detector.TrainConfig(**config.train))
+            detector.save_model(model, model_path)
 
     predictions = _predict(model, messages, out / "predictions.jsonl")
 
     predicted_labels = {mid: p.predicted_label for mid, p in predictions.items()}
-    filtered = _stage("filter", corpus.filter_for_explanation, messages, predicted_labels)
+    with _stage("filter"):
+        filtered = corpus.filter_for_explanation(messages, predicted_labels)
     if len(filtered) == 0:
         raise ConfigError("no messages survived the explanation filter")
     corpus.save_jsonl(filtered, out / "filtered.jsonl")
 
-    subset = _stage("subset", _explanation_subset, config, filtered)
+    with _stage("subset"):
+        subset = _explanation_subset(config, filtered)
     corpus.save_jsonl(subset, out / "subset.jsonl")
 
     # Scoring reads the generated explanations as they arrive; they are
@@ -592,7 +584,8 @@ def _cmd_explain_one(args: argparse.Namespace) -> int:
         f"prediction: {prediction.predicted_label.value} "
         f"(p_scam={prediction.scam_probability:.4f}, logit={prediction.logit:+.4f})"
     )
-    with_evidence, _ = _stage("attribution", _compute_evidence, config, model, single)
+    with _stage("attribution"):
+        with_evidence, _ = _compute_evidence(config, model, single)
     print("evidence:")
     for _, evidence in with_evidence:
         for word, score in evidence.phrases:
@@ -601,7 +594,8 @@ def _cmd_explain_one(args: argparse.Namespace) -> int:
         print("  (empty)")
         return 1
     prompts = _build_prompts(config, with_evidence)
-    (explanation,) = _stage("generate", _generate_all, config, prompts)
+    with _stage("generate"):
+        (explanation,) = _generate_all(config, prompts)
     print(f"condition: {explanation.condition.value}")
     print(f"explanation ({explanation.generator.value}):")
     print(explanation.text)
@@ -635,6 +629,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     metrics = corpus.read_jsonl(args.metrics, evaluation.metrics_from_record)
+    if not metrics:
+        raise corpus.CorpusError(f"{args.metrics} holds no metric records")
     print(_report(metrics, _resolve_out_dir(args.out)), end="")
     return 0
 

@@ -394,17 +394,21 @@ def write_jsonl(path: str | Path, records: Iterable[Mapping[str, Any]]) -> None:
             handle.write("\n")
 
 
+def _refuse_constant(name: str) -> float:
+    raise ValueError(f"{name} is not a finite number")
+
+
 def read_jsonl(path: str | Path, parse: Callable[[Mapping[str, Any]], T]) -> list[T]:
     """Parse each non-blank line with `parse`; the only JSON-lines reader.
-    Invalid UTF-8 or JSON, a non-object line or a `parse` failure raises a
-    CorpusError naming the file and the line number."""
+    Invalid UTF-8 or JSON, a NaN or Infinity literal, a non-object line or a
+    `parse` failure raises a CorpusError naming the file and the line number."""
     parsed = []
     with open(path, "rb") as handle:
         for number, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                record = json.loads(line.decode("utf-8"))
+                record = json.loads(line.decode("utf-8"), parse_constant=_refuse_constant)
                 if not isinstance(record, dict):
                     raise TypeError(f"expected a JSON object, got {type(record).__name__}")
                 parsed.append(parse(record))

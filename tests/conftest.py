@@ -1,16 +1,28 @@
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scamlens
 from scamlens import corpus, detector
 from scamlens.detector import SPECIAL_PIECES, DetectorModel, Vocab
+
+
+def subprocess_env(**extra: str) -> dict[str, str]:
+    """The environment for a child Python that imports this `scamlens`: its
+    `src` directory first on PYTHONPATH, plus the `extra` variables. A child
+    sees only PYTHONPATH, not the paths pytest adds to `sys.path`."""
+    src = str(Path(scamlens.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def make_vocab(*extra: str) -> Vocab:

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
 import subprocess
 import sys
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import grad_wrt_embeddings, logit_from_embeddings, make_model
+from conftest import grad_wrt_embeddings, logit_from_embeddings, make_model, subprocess_env
 from scamlens import cli, corpus
 from scamlens.attribution import AttributionConfig, EvidenceSet, completeness_gap, gradient_shap
 from scamlens.detector import (
@@ -216,12 +215,7 @@ def test_criterion_5_detector_trains_to_target_f1():
         "model = detector.train(c, detector.TrainConfig(seed=7))\n"
         "print(f'{model.val_macro_f1} {time.perf_counter() - t0}')\n"
     )
-    env = dict(
-        os.environ,
-        OMP_NUM_THREADS="1",
-        OPENBLAS_NUM_THREADS="1",
-        MKL_NUM_THREADS="1",
-    )
+    env = subprocess_env(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )

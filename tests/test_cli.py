@@ -233,7 +233,7 @@ class TestConfig:
 
 
 class TestScoreAll:
-    def test_scores_through_the_module_attributes_once_per_explanation(self, monkeypatch):
+    def test_scores_through_the_module_attributes_once_per_explanation(self, tmp_path, monkeypatch):
         # perfbench's span tracer wraps these three names on the module, so
         # scoring must keep calling them through it, once per explanation.
         calls = {name: [] for name in ("mock_score_nli", "faithfulness", "fkgl")}
@@ -264,9 +264,8 @@ class TestScoreAll:
             for mid in evidence
             for condition in Condition
         ]
-        received, metrics = cli._score_all(
-            cli.RunConfig(mock_nli=True), iter(explanations), evidence
-        )
+        path = tmp_path / "metrics.jsonl"
+        received, metrics = cli._evaluate(cli.RunConfig(mock_nli=True), iter(explanations), evidence, path)
 
         assert received == explanations
         assert [(m.message_id, m.condition) for m in metrics] == [
@@ -275,6 +274,10 @@ class TestScoreAll:
         assert calls["mock_score_nli"] == explanations
         assert calls["faithfulness"] == [e for e in explanations if e.condition.wants_evidence]
         assert calls["fkgl"] == [e.text for e in explanations]
+        records = corpus.read_jsonl(path, evaluation.metrics_from_record)
+        assert [(m.message_id, m.condition) for m in records] == [
+            (e.message_id, e.condition) for e in explanations
+        ]
 
 
 class TestBuildPrompts:
@@ -939,6 +942,51 @@ class TestStageCommands:
         assert rc == 1
         assert "not empty" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["stale.txt"]
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_report_refuses_non_finite_metric(self, tmp_path, capsys, rows):
+        metrics_path = tmp_path / "metrics.jsonl"
+        row = '{"message_id": "m%d", "condition": "xai_only", "faithfulness": 1.0, "correctness": NaN, "fkgl": 3.0}\n'
+        metrics_path.write_text("".join(row % n for n in range(rows)))
+        out = tmp_path / "report"
+        rc = cli.main(["report", "--metrics", str(metrics_path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(metrics_path) in err and "record 1" in err and "NaN" in err
+        assert not out.exists()
+
+    def test_report_refuses_a_file_without_records(self, tmp_path, capsys):
+        metrics_path = tmp_path / "metrics.jsonl"
+        metrics_path.write_text("\n")
+        out = tmp_path / "report"
+        rc = cli.main(["report", "--metrics", str(metrics_path), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {metrics_path} holds no metric records\n"
+        assert not out.exists()
+
+    def test_evaluate_refuses_non_finite_evidence_score(self, tmp_path, capsys):
+        evidence_path = tmp_path / "evidence.jsonl"
+        evidence_path.write_text('{"id": "m1", "phrases": [{"word": "urgent", "score": NaN}], "k": 8, "seed": 0}\n')
+        explanations_path = tmp_path / "explanations.jsonl"
+        row = {"message_id": "m1", "condition": "xai_only", "text": "Urgent.", "generator": "mock", "model_name": "mock"}
+        explanations_path.write_text(json.dumps(row) + "\n")
+        metrics_path = tmp_path / "metrics.jsonl"
+        rc = cli.main(
+            [
+                "evaluate",
+                "--evidence",
+                str(evidence_path),
+                "--explanations",
+                str(explanations_path),
+                "--out",
+                str(metrics_path),
+                "--mock",
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(evidence_path) in err and "record 1" in err and "NaN" in err
+        assert not metrics_path.exists()
 
     def test_report_rejects_unknown_condition(self, tmp_path, capsys):
         metrics_path = tmp_path / "metrics.jsonl"

@@ -22,6 +22,7 @@ from scamlens.corpus import (
     format_input,
     ingest_jsonl,
     load_jsonl,
+    read_jsonl,
     save_jsonl,
     stratified_sample,
     synth_corpus,
@@ -331,6 +332,14 @@ class TestJsonlRoundTrip:
         path.write_bytes("\n".join(lines).encode("latin-1") + b"\n")
         with pytest.raises(CorpusError, match=f"record {number} is malformed") as info:
             load_jsonl(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literal_names_file_and_line(self, tmp_path, literal):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"score": 1.5}\n' + f'{{"score": {literal}}}\n')
+        with pytest.raises(CorpusError, match=f"record 2 is malformed .*{literal} is not a finite number") as info:
+            read_jsonl(path, dict)
         assert str(path) in str(info.value)
 
     def test_duplicate_ids_name_the_file(self, tmp_path):
