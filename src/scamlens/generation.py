@@ -8,6 +8,8 @@ message that upstream stages already judged to be a scam.
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
 import threading
 import time
@@ -16,8 +18,9 @@ from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
-
-import requests
+from urllib.error import HTTPError, URLError
+from urllib.parse import urlsplit
+from urllib.request import Request, urlopen
 
 from . import persona
 from .attribution import EvidenceSet
@@ -133,6 +136,8 @@ class EndpointConfig:
     backoff_base: float = 0.5
 
     def __post_init__(self) -> None:
+        if urlsplit(self.base_url).scheme not in ("http", "https"):
+            raise ValueError(f"base_url must be an http or https URL, got {self.base_url!r}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.timeout <= 0:
@@ -244,7 +249,8 @@ def post_json_with_retry(
     config: EndpointConfig, path: str, payload: dict[str, Any]
 ) -> tuple[str, Any]:
     """POST `payload` to `path` under the endpoint; returns the URL and the
-    decoded JSON body. The one request path of both remote clients.
+    decoded JSON body. The one request path of both remote clients; each
+    request opens its own connection.
 
     Timeouts, connection errors, 429 and 5xx are retried with exponential
     backoff; a 429 or 503 whose Retry-After header gives delta-seconds waits
@@ -254,35 +260,44 @@ def post_json_with_retry(
     that names the URL.
     """
     url = config.base_url.rstrip("/") + path
-    headers = auth_headers(config)
+    headers = {**auth_headers(config), "Content-Type": "application/json"}
+    data = json.dumps(payload, allow_nan=False).encode("utf-8")
+    request = Request(url, data, headers, method="POST")
     attempts = config.max_retries + 1
     last_failure: TransportError | None = None
     for attempt in range(attempts):
         delay = config.backoff_base * (2**attempt)
         try:
-            response = requests.post(url, json=payload, headers=headers, timeout=config.timeout)
-        except requests.Timeout as exc:
-            last_failure = TransportTimeoutError(f"{url}: timed out after {config.timeout}s")
-            last_failure.__cause__ = exc
-        except requests.ConnectionError as exc:
-            last_failure = TransportError(f"{url}: connection failed ({exc})")
-        else:
-            if response.status_code in (401, 403):
-                raise AuthError(f"{url}: authentication rejected ({response.status_code})")
-            retry_after = response.headers.get("Retry-After", "").strip()
-            if response.status_code in (429, 503) and retry_after.isdecimal():
+            with urlopen(request, timeout=config.timeout) as response:
+                raw = response.read()
+        except HTTPError as exc:
+            exc.close()
+            status = exc.code
+            if status in (401, 403):
+                raise AuthError(f"{url}: authentication rejected ({status})") from None
+            retry_after = exc.headers.get("Retry-After", "").strip()
+            if status in (429, 503) and retry_after.isdecimal():
                 delay = int(retry_after)
-            if response.status_code == 429:
+            if status == 429:
                 last_failure = RateLimitedError(f"{url}: rate limited (429)")
-            elif response.status_code >= 500:
-                last_failure = TransportError(f"{url}: server error ({response.status_code})")
-            elif not 200 <= response.status_code < 300:
-                raise TransportError(f"{url}: request failed ({response.status_code})")
+            elif status >= 500:
+                last_failure = TransportError(f"{url}: server error ({status})")
             else:
-                try:
-                    return url, response.json()
-                except ValueError as exc:
-                    raise TransportError(f"{url}: response body is not JSON ({exc})") from None
+                raise TransportError(f"{url}: request failed ({status})") from None
+        except (OSError, http.client.HTTPException) as exc:
+            # URLError wraps a failure to connect or send; one while waiting
+            # for or reading the answer arrives bare.
+            reason = exc.reason if isinstance(exc, URLError) else exc
+            if isinstance(reason, TimeoutError):
+                last_failure = TransportTimeoutError(f"{url}: timed out after {config.timeout}s")
+            else:
+                last_failure = TransportError(f"{url}: connection failed ({reason})")
+            last_failure.__cause__ = exc
+        else:
+            try:
+                return url, json.loads(raw)
+            except ValueError as exc:
+                raise TransportError(f"{url}: response body is not JSON ({exc})") from None
         if attempt < attempts - 1:
             time.sleep(delay)
     assert last_failure is not None

@@ -138,6 +138,8 @@ class TestConfig:
             ("train", {"lr": True}, "lr"),
             ("synth", {"seed": True}, "seed"),
             ("nli", {"base_url": "http://x", "max_retries": True}, "max_retries"),
+            ("llm", {"base_url": "file:///etc/hosts", "model_name": "m"}, "base_url"),
+            ("nli", {"base_url": "localhost:8000"}, "base_url"),
         ],
     )
     def test_invalid_section_value_rejected(self, tmp_path, section, values, key):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import string
 import threading
 import time
@@ -209,6 +210,7 @@ class TestRemoteClient:
         path, headers, body = stub_server.requests[0]
         assert path == "/chat/completions"
         assert headers["Authorization"] == "Bearer secret-token"
+        assert headers["Content-Type"] == "application/json"
         assert body["model"] == "test-model"
         assert body["temperature"] == 0.2
         assert body["max_tokens"] == 123
@@ -296,6 +298,47 @@ class TestRemoteClient:
         prompt = build_prompt(Condition.PURE_LLM, MESSAGE, message_id="m1")
         with pytest.raises(TransportError):
             generate(client_config(stub_server.url), prompt)
+
+    def test_refused_connection_is_retried_then_raised(self, monkeypatch):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        url = f"http://127.0.0.1:{port}"
+        sleeps = []
+        monkeypatch.setattr(generation, "time", SimpleNamespace(sleep=sleeps.append))
+        opened = []
+        real_urlopen = generation.urlopen
+
+        def counting_urlopen(request, **kwargs):
+            opened.append(request.full_url)
+            return real_urlopen(request, **kwargs)
+
+        monkeypatch.setattr(generation, "urlopen", counting_urlopen)
+        prompt = build_prompt(Condition.PURE_LLM, MESSAGE, message_id="m1")
+        with pytest.raises(TransportError) as raised:
+            generate(client_config(url, max_retries=2, backoff_base=0.01), prompt)
+        assert type(raised.value) is TransportError
+        assert str(raised.value).startswith(f"{url}/chat/completions: connection failed (")
+        assert opened == [f"{url}/chat/completions"] * 3
+        assert sleeps == [0.01, 0.02]
+
+    def test_non_json_body_raises_without_retry(self, stub_server):
+        stub_server.script = [{"status": 200, "raw": b"not json"}]
+        prompt = build_prompt(Condition.PURE_LLM, MESSAGE, message_id="m1")
+        with pytest.raises(TransportError, match="response body is not JSON"):
+            generate(client_config(stub_server.url), prompt)
+        assert len(stub_server.requests) == 1
+
+    @pytest.mark.parametrize("status", [307, 308])
+    def test_post_redirect_is_not_followed(self, stub_server, status):
+        stub_server.script = [
+            {"status": status, "body": {}, "headers": {"Location": "/elsewhere"}},
+            {"status": 200, "body": self._completion()},
+        ]
+        prompt = build_prompt(Condition.PURE_LLM, MESSAGE, message_id="m1")
+        with pytest.raises(TransportError, match=rf"request failed \({status}\)"):
+            generate(client_config(stub_server.url), prompt)
+        assert len(stub_server.requests) == 1
 
     def test_no_key_variable_sends_no_authorization_header(self, stub_server):
         stub_server.script = [{"status": 200, "body": self._completion()}]
