@@ -306,20 +306,12 @@ class TestRemoteClient:
         url = f"http://127.0.0.1:{port}"
         sleeps = []
         monkeypatch.setattr(generation, "time", SimpleNamespace(sleep=sleeps.append))
-        opened = []
-        real_urlopen = generation.urlopen
-
-        def counting_urlopen(request, **kwargs):
-            opened.append(request.full_url)
-            return real_urlopen(request, **kwargs)
-
-        monkeypatch.setattr(generation, "urlopen", counting_urlopen)
         prompt = build_prompt(Condition.PURE_LLM, MESSAGE, message_id="m1")
         with pytest.raises(TransportError) as raised:
             generate(client_config(url, max_retries=2, backoff_base=0.01), prompt)
         assert type(raised.value) is TransportError
         assert str(raised.value).startswith(f"{url}/chat/completions: connection failed (")
-        assert opened == [f"{url}/chat/completions"] * 3
+        # One backoff step between each of the max_retries + 1 attempts.
         assert sleeps == [0.01, 0.02]
 
     def test_non_json_body_raises_without_retry(self, stub_server):
