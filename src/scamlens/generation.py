@@ -20,7 +20,7 @@ from enum import Enum
 from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
 from urllib.error import HTTPError, URLError
 from urllib.parse import urlsplit
-from urllib.request import Request, urlopen
+from urllib.request import HTTPRedirectHandler, Request, build_opener
 
 from . import persona
 from .attribution import EvidenceSet
@@ -227,6 +227,20 @@ def evidence_phrases_from_prompt(prompt: Prompt) -> list[str]:
 # batch, so each endpoint sees at most this many at once.
 MAX_IN_FLIGHT = 4
 
+
+class _NoRedirect(HTTPRedirectHandler):
+    """Follow no redirect: the default handler re-sends a 301/302/303 as a GET
+    to any host or scheme, Authorization header included. The 3xx answer
+    then fails like any other non-2xx status."""
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None
+
+
+# Built once per process, so HTTP(S)_PROXY are read at import.
+_OPENER = build_opener(_NoRedirect)
+
+
 _Item = TypeVar("_Item")
 _Result = TypeVar("_Result")
 
@@ -256,19 +270,21 @@ def post_json_with_retry(
     backoff; a 429 or 503 whose Retry-After header gives delta-seconds waits
     that long instead (an HTTP-date keeps the backoff). Any other non-2xx
     status raises at once, naming the status: auth failures (401/403) as
-    AuthError, the rest as TransportError. Every failure is a TransportError
-    that names the URL.
+    AuthError, the rest, redirects included, as TransportError. Every failure
+    is a TransportError that names the URL.
     """
     url = config.base_url.rstrip("/") + path
     headers = {**auth_headers(config), "Content-Type": "application/json"}
     data = json.dumps(payload, allow_nan=False).encode("utf-8")
-    request = Request(url, data, headers, method="POST")
     attempts = config.max_retries + 1
     last_failure: TransportError | None = None
     for attempt in range(attempts):
         delay = config.backoff_base * (2**attempt)
+        # A fresh Request per attempt: the proxy handler rewrites the one it
+        # is given, and a reused one would fall from HTTPS to plain HTTP.
+        request = Request(url, data, headers, method="POST")
         try:
-            with urlopen(request, timeout=config.timeout) as response:
+            with _OPENER.open(request, timeout=config.timeout) as response:
                 raw = response.read()
         except HTTPError as exc:
             exc.close()

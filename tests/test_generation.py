@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import io
 import json
 import socket
 import string
 import threading
 import time
+from http.client import HTTPMessage
 from types import SimpleNamespace
+from urllib.error import HTTPError
 
 import pytest
 from hypothesis import given, settings
@@ -321,7 +324,7 @@ class TestRemoteClient:
             generate(client_config(stub_server.url), prompt)
         assert len(stub_server.requests) == 1
 
-    @pytest.mark.parametrize("status", [307, 308])
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
     def test_post_redirect_is_not_followed(self, stub_server, status):
         stub_server.script = [
             {"status": status, "body": {}, "headers": {"Location": "/elsewhere"}},
@@ -331,6 +334,26 @@ class TestRemoteClient:
         with pytest.raises(TransportError, match=rf"request failed \({status}\)"):
             generate(client_config(stub_server.url), prompt)
         assert len(stub_server.requests) == 1
+
+    def test_every_attempt_sends_a_fresh_request(self, monkeypatch):
+        # The proxy handler rewrites the Request it opens; a reused one would
+        # reach its third attempt as plain HTTP, bearer token included.
+        seen = []
+
+        def open_through_proxy(request, timeout):
+            seen.append((request, request.type, request.host, request.selector))
+            request.set_proxy("proxy.invalid:3128", "http")
+            raise HTTPError(request.full_url, 503, "busy", HTTPMessage(), io.BytesIO())
+
+        monkeypatch.setattr(generation, "_OPENER", SimpleNamespace(open=open_through_proxy))
+        monkeypatch.setattr(generation, "time", SimpleNamespace(sleep=lambda _: None))
+        prompt = build_prompt(Condition.PURE_LLM, MESSAGE, message_id="m1")
+        with pytest.raises(TransportError, match=r"server error \(503\)"):
+            generate(client_config("https://api.example.invalid", max_retries=2), prompt)
+        assert len({id(request) for request, *_ in seen}) == 3
+        assert [sent for _, *sent in seen] == [
+            ["https", "api.example.invalid", "/chat/completions"]
+        ] * 3
 
     def test_no_key_variable_sends_no_authorization_header(self, stub_server):
         stub_server.script = [{"status": 200, "body": self._completion()}]
