@@ -17,8 +17,11 @@ so dz/dx_i = (1/n) W1 (w2 * act'(h)) for every position i.
 Training is full-batch gradient descent with early stopping on validation
 macro F1; there is no minibatch shuffling, so a (config, seed) pair always
 yields identical weights. Training holds the (N, V) bag matrix in sparse
-form, so its memory is O(nnz * d) for nnz distinct (message, piece) pairs,
-never O(N * V).
+form and pools the hidden projection E W1 rather than the embedding E, so
+its bag products cost O(nnz * h) for nnz distinct (message, piece) pairs,
+never O(N * V). Each vocabulary memoizes the segmentation of every word it
+has seen, so a word is segmented once however many messages and stages
+tokenize it.
 """
 
 from __future__ import annotations
@@ -91,11 +94,18 @@ class CheckpointFormatError(DetectorError):
 
 @dataclass(frozen=True)
 class Vocab:
-    """Ordered subword pieces with PAD at index 0 and atomic channel markers."""
+    """Ordered subword pieces with PAD at index 0 and atomic channel markers.
+
+    `segments` memoizes each word's pieces for the vocabulary's life; it is
+    a cache, so it takes no part in construction, equality or repr.
+    """
 
     pieces: tuple[str, ...]
     index: Mapping[str, int] = field(repr=False)
     max_piece_len: int
+    segments: dict[str, tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.pieces)
@@ -178,10 +188,10 @@ class TokenizedInput:
             raise ValueError("alignment references a word position out of range")
 
 
-def _segment_word(word: str, vocab: Vocab) -> list[int]:
+def _segment_word(word: str, vocab: Vocab) -> tuple[int, ...]:
     """Greedy longest-match segmentation with single-character fallback."""
     if word in MARKER_TOKENS:
-        return [vocab.index[word]]
+        return (vocab.index[word],)
     lowered = word.lower()
     ids: list[int] = []
     i = 0
@@ -198,17 +208,16 @@ def _segment_word(word: str, vocab: Vocab) -> list[int]:
         if not matched:
             ids.append(UNK_ID)
             i += 1
-    return ids
+    return tuple(ids)
 
 
-def _segment_words(
-    words: Sequence[str], vocab: Vocab, limit: int, memo: dict[str, list[int]]
-) -> tuple[list[int], list[int]]:
+def _segment_words(words: Sequence[str], vocab: Vocab, limit: int) -> tuple[list[int], list[int]]:
     """Piece ids and their word positions, front-truncated to `limit` pieces.
 
-    `memo` maps each word segmented so far to its pieces, so a word is
-    segmented once however often it recurs while the memo lives.
+    Each word's pieces come from the vocabulary's `segments` memo, so a word
+    is segmented once however often it recurs in the vocabulary's life.
     """
+    memo = vocab.segments
     piece_ids: list[int] = []
     alignment: list[int] = []
     for word_pos, word in enumerate(words):
@@ -227,7 +236,7 @@ def _segment_words(
 def tokenize(text: FormattedText, vocab: Vocab, limit: int = DEFAULT_PIECE_LIMIT) -> TokenizedInput:
     """Segment each whitespace word into pieces and record its word position."""
     words = tuple(text.text.split())
-    piece_ids, alignment = _segment_words(words, vocab, limit, {})
+    piece_ids, alignment = _segment_words(words, vocab, limit)
     return TokenizedInput(tuple(piece_ids), tuple(alignment), words)
 
 
@@ -355,6 +364,8 @@ def embed(model: DetectorModel, tokenized: TokenizedInput) -> np.ndarray:
 class TrainConfig:
     # Full-batch descent needs a large step: the +/-0.1 init leaves the
     # logit path (embedding -> hidden -> output) with tiny initial gradients.
+    # Training pools the h-wide projection E @ W1, so h > d stays correct but
+    # pools wider than the embedding itself would.
     lr: float = 5.0
     epochs: int = 300
     patience: int = 30
@@ -366,6 +377,8 @@ class TrainConfig:
     limit: int = DEFAULT_PIECE_LIMIT
 
     def __post_init__(self) -> None:
+        if not self.lr > 0.0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
         if not (0.0 < self.val_fraction < 1.0):
             raise ValueError("val_fraction must be in (0, 1)")
         if self.epochs < 1 or self.patience < 1:
@@ -377,23 +390,25 @@ class TrainConfig:
 
 
 def _corpus_piece_ids(corpus: MessageSet, vocab: Vocab, limit: int) -> list[list[int]]:
-    """Each message's `tokenize(...).piece_ids`, segmenting each distinct word
-    once: the memo lives only for this call."""
-    memo: dict[str, list[int]] = {}
-    return [_segment_words(format_input(m).text.split(), vocab, limit, memo)[0] for m in corpus]
+    """Each message's `tokenize(...).piece_ids`, through the vocabulary's
+    segmentation memo, so a later `tokenize` of the same words segments none
+    of them again."""
+    return [_segment_words(format_input(m).text.split(), vocab, limit)[0] for m in corpus]
 
 
 @dataclass(frozen=True)
 class _Bags:
     """Sparse (N, V) bag matrix B whose row i holds message i's piece
-    frequencies over its piece count, so B @ E is the mean-pooled input.
+    frequencies over its piece count, so B @ E is the mean-pooled input and
+    B @ (E @ W1) its hidden projection.
 
     Entries are kept in row order (CSR: `indptr`, `ids`, `weights`) for
     pooling, and in column order (`col_rows`, `col_weights`, grouped by
-    `col_starts` over the used ids `used`) for the embedding gradient B.T @ G.
-    Both products gather into a (d, nnz) array and sum runs along its
-    contiguous axis, so their cost and memory grow with nnz, not N x V.
-    Every row must hold at least one piece.
+    `col_starts` over the used ids `used`) for the gradient B.T @ G. For
+    operands w columns wide, both products gather into a (w, nnz) array and
+    sum runs along its contiguous axis, so their cost and memory grow with
+    nnz * w, not N x V; training passes w = h. Every row must hold at least
+    one piece.
     """
 
     n_cols: int
@@ -429,13 +444,13 @@ class _Bags:
         )
 
     def pool(self, embedding: np.ndarray) -> np.ndarray:
-        """B @ embedding, shape (V, d) -> (N, d)."""
+        """B @ embedding, shape (V, w) -> (N, w)."""
         products = np.take(embedding.T, self.ids, axis=1)
         products *= self.weights
         return np.add.reduceat(products, self.indptr[:-1], axis=1).T
 
     def pool_grad(self, d_pooled: np.ndarray) -> np.ndarray:
-        """B.T @ d_pooled, shape (N, d) -> (V, d); unused ids get zero rows."""
+        """B.T @ d_pooled, shape (N, w) -> (V, w); unused ids get zero rows."""
         products = np.take(d_pooled.T, self.col_rows, axis=1)
         products *= self.col_weights
         grad = np.zeros((self.n_cols, d_pooled.shape[1]))
@@ -464,8 +479,11 @@ def train(corpus: MessageSet, config: TrainConfig) -> DetectorModel:
 
     Returns the best-validation checkpoint. Deterministic: weight
     init, the train/validation split, and the update schedule all derive from
-    config.seed. Each distinct word is segmented once per call, and the
-    split bags are sparse, so memory is O(nnz * d) rather than O(N * V).
+    config.seed. Each distinct word is segmented once, into the returned
+    model's vocabulary memo. The split bags are sparse and pool the hidden
+    projection E @ W1, so each epoch costs O(nnz * h) rather than O(N * V).
+    Its gradients are the pooled-embedding ones reassociated:
+    B.T @ (G @ W1.T) = (B.T @ G) @ W1.T and (B @ E).T @ G = E.T @ (B.T @ G).
     """
     label_values = {m.label for m in corpus}
     if len(label_values) < 2:
@@ -495,17 +513,16 @@ def train(corpus: MessageSet, config: TrainConfig) -> DetectorModel:
     epochs_run = 0
     for _ in range(config.epochs):
         epochs_run += 1
-        pooled = bags_train.pool(embedding)
-        hidden = act(pooled @ hidden_w + hidden_b)
+        hidden = act(bags_train.pool(embedding @ hidden_w) + hidden_b)
         probs = _sigmoid(hidden @ out_w + out_b)
         dz = (probs - y_train) / len(y_train)
         d_out_w = hidden.T @ dz
         d_out_b = float(dz.sum())
         d_hidden = dact(hidden) * np.outer(dz, out_w)
-        d_hidden_w = pooled.T @ d_hidden
+        d_projection = bags_train.pool_grad(d_hidden)
+        d_hidden_w = embedding.T @ d_projection
         d_hidden_b = d_hidden.sum(axis=0)
-        d_pooled = d_hidden @ hidden_w.T
-        d_embedding = bags_train.pool_grad(d_pooled)
+        d_embedding = d_projection @ hidden_w.T
 
         embedding -= config.lr * d_embedding
         hidden_w -= config.lr * d_hidden_w
@@ -513,7 +530,7 @@ def train(corpus: MessageSet, config: TrainConfig) -> DetectorModel:
         out_w -= config.lr * d_out_w
         out_b -= config.lr * d_out_b
 
-        val_logits = act(bags_val.pool(embedding) @ hidden_w + hidden_b) @ out_w + out_b
+        val_logits = act(bags_val.pool(embedding @ hidden_w) + hidden_b) @ out_w + out_b
         predicted = [Label.SCAM if z >= 0 else Label.HAM for z in val_logits]
         f1 = macro_f1(predicted, val_labels)
         if best is None or f1 > best[0]:

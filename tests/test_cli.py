@@ -32,8 +32,8 @@ ARTIFACTS = (
 # `write_config` values. A change that alters these bytes on purpose re-pins
 # them and says why.
 GOLDEN_DIGESTS = {
-    "predictions.jsonl": "42cd4e0fd91ef1f2decc20de70eb1d2a0b9a67c5a333c7cd38ba5f749f5f0772",
-    "evidence.jsonl": "a981af131fbf91ff5e3fab17f9a8fac6987bb1fb4f3020172f98be7dd0a51161",
+    "predictions.jsonl": "d5cac40109c6958bb2a29b0b364f752047a4e7d90774ee8b39018a56c6b2a48d",
+    "evidence.jsonl": "01abb6451bcaa6707560c6fcbfe728bc7fba72bfc3975081634abcbc32d46a06",
     "explanations.jsonl": "40c29179b1ba9ffc77a8d9869cca4a5bba52da6d7701ec669cce5a62b74e154a",
     "metrics.jsonl": "d66a53443b8828022bd3e4323c68d430fdb9a91b142dda2258f8c65739987767",
     "report.json": "f7f7394622108a47bba9a06b5f7985f0a481bd277525a3fc0369aa47a5dbd7bf",
@@ -140,6 +140,8 @@ class TestConfig:
             ("nli", {"base_url": "http://x", "max_retries": True}, "max_retries"),
             ("llm", {"base_url": "file:///etc/hosts", "model_name": "m"}, "base_url"),
             ("nli", {"base_url": "localhost:8000"}, "base_url"),
+            ("train", {"lr": 0}, "lr"),
+            ("train", {"lr": -5}, "lr"),
         ],
     )
     def test_invalid_section_value_rejected(self, tmp_path, section, values, key):
@@ -194,6 +196,8 @@ class TestConfig:
             ('{"conditions": ["xai_only", "xai_only"]}', "condition 'xai_only' is listed more than once"),
             ('{"attribution": {"noise_std": NaN}}', "config key attribution.noise_std must be float, got nan"),
             ('{"train": {"lr": Infinity}}', "config key train.lr must be float, got inf"),
+            ('{"train": {"lr": 0}}', "config section 'train': lr must be > 0, got 0.0"),
+            ('{"train": {"lr": -5}}', "config section 'train': lr must be > 0, got -5.0"),
             ('{"sample_fraction": -Infinity}', "config key sample_fraction must be float, got -inf"),
             ('{"conditions": ["xai_only", 5]}', "config key conditions must be a list of names, got ['xai_only', 5]"),
             ('{"conditions": "xai_only"}', "config key conditions must be a list of names, got 'xai_only'"),
@@ -213,6 +217,8 @@ class TestConfig:
             "repeated_condition",
             "nan_float",
             "infinite_float",
+            "zero_lr",
+            "negative_lr",
             "negative_infinite_float",
             "non_string_condition",
             "conditions_not_a_list",

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import grad_wrt_embeddings, logit_from_embeddings, make_model, make_vocab, zero_model
+from scamlens import detector
 from scamlens.corpus import (
     MARKER_TOKENS,
     Channel,
@@ -39,6 +40,8 @@ from scamlens.detector import (
     Vocab,
     _Bags,
     _corpus_piece_ids,
+    _sigmoid,
+    _split_indices,
     build_vocab,
     embed,
     load_model,
@@ -202,9 +205,52 @@ class TestTrainPieceIds:
     @pytest.mark.parametrize("limit", [20, 512])
     def test_equal_tokenize_for_every_message(self, small_corpus, limit):
         vocab = build_vocab(small_corpus, 400)
-        expected = [list(tokenize(format_input(m), vocab, limit).piece_ids) for m in small_corpus]
+        # A separate vocabulary, so the expected ids come from its own memo.
+        fresh = Vocab.from_pieces(vocab.pieces)
+        expected = [list(tokenize(format_input(m), fresh, limit).piece_ids) for m in small_corpus]
         assert _corpus_piece_ids(small_corpus, vocab, limit) == expected
         assert any(len(ids) == limit for ids in expected) == (limit == 20)
+
+
+class TestSegmentationMemo:
+    def test_memo_filled_by_training_ids_tokenizes_like_a_fresh_vocab(self, small_corpus):
+        vocab = build_vocab(small_corpus, 400)
+        # The memo holds whole words, so a later, longer limit sees every piece.
+        _corpus_piece_ids(small_corpus, vocab, limit=20)
+        assert vocab.segments
+        fresh = Vocab.from_pieces(vocab.pieces)
+        for message in small_corpus:
+            text = format_input(message)
+            assert tokenize(text, vocab) == tokenize(text, fresh)
+
+    def test_each_distinct_word_segmented_once_across_train_and_predict(self, monkeypatch):
+        corpus = synth_corpus(seed=3, per_channel_per_label=10)
+        calls: Counter[str] = Counter()
+        segment_word = detector._segment_word
+
+        def counting(word, vocab):
+            calls[word] += 1
+            return segment_word(word, vocab)
+
+        monkeypatch.setattr(detector, "_segment_word", counting)
+        model = train(corpus, TrainConfig(seed=3, epochs=2, patience=2))
+        predict_set(model, corpus)
+        words = {word for message in corpus for word in format_input(message).text.split()}
+        assert calls == Counter(words)
+
+    def test_equality_and_repr_ignore_the_memo(self):
+        used, unused = make_vocab("win"), make_vocab("win")
+        tokenize(FormattedText("<SMS> win now", "<SMS>"), used)
+        assert set(used.segments) == {"<SMS>", "win", "now"}
+        assert not unused.segments
+        assert used == unused
+        assert repr(used) == repr(unused)
+        assert "segments" not in repr(used)
+
+    def test_constructor_takes_no_memo(self):
+        vocab = make_vocab()
+        with pytest.raises(TypeError):
+            Vocab(pieces=vocab.pieces, index=vocab.index, max_piece_len=vocab.max_piece_len, segments={})
 
 
 class TestTokenize:
@@ -345,7 +391,66 @@ class TestGradients:
         assert np.allclose(grads, grads[0])
 
 
+def dense_reference_train(corpus: MessageSet, config: TrainConfig) -> tuple[float, tuple]:
+    """`train` on a dense bag matrix with the pooled-embedding gradients:
+    pooled = B @ E, d_hidden_w = pooled.T @ d_hidden and
+    d_embedding = B.T @ (d_hidden @ W1.T). Returns the best validation F1
+    and its (embedding, hidden_w, hidden_b, out_w, out_b)."""
+    rng = np.random.default_rng(config.seed)
+    vocab = build_vocab(corpus, config.vocab_size)
+    embedding = rng.uniform(-0.1, 0.1, size=(len(vocab), config.d))
+    hidden_w = rng.uniform(-0.1, 0.1, size=(config.d, config.h))
+    hidden_b = rng.uniform(-0.1, 0.1, size=config.h)
+    out_w = rng.uniform(-0.1, 0.1, size=config.h)
+    out_b = float(rng.uniform(-0.1, 0.1))
+    rows = [tokenize(format_input(m), vocab, config.limit).piece_ids for m in corpus]
+    y = np.array([1.0 if m.label is Label.SCAM else 0.0 for m in corpus])
+    train_idx, val_idx = _split_indices(y, config.val_fraction, rng)
+    bags_train = dense_bags([rows[i] for i in train_idx], len(vocab))
+    bags_val = dense_bags([rows[i] for i in val_idx], len(vocab))
+    val_labels = [Label.SCAM if y[i] == 1.0 else Label.HAM for i in val_idx]
+    best = None
+    for _ in range(config.epochs):
+        pooled = bags_train @ embedding
+        hidden = np.tanh(pooled @ hidden_w + hidden_b)
+        dz = (_sigmoid(hidden @ out_w + out_b) - y[train_idx]) / len(train_idx)
+        d_hidden = (1.0 - hidden * hidden) * np.outer(dz, out_w)
+        d_hidden_w = pooled.T @ d_hidden
+        d_embedding = bags_train.T @ (d_hidden @ hidden_w.T)
+        embedding = embedding - config.lr * d_embedding
+        hidden_w = hidden_w - config.lr * d_hidden_w
+        hidden_b = hidden_b - config.lr * d_hidden.sum(axis=0)
+        out_w = out_w - config.lr * (hidden.T @ dz)
+        out_b = out_b - config.lr * float(dz.sum())
+        val_logits = np.tanh(bags_val @ embedding @ hidden_w + hidden_b) @ out_w + out_b
+        f1 = macro_f1([Label.SCAM if z >= 0 else Label.HAM for z in val_logits], val_labels)
+        if best is None or f1 > best[0]:
+            best = (f1, (embedding, hidden_w, hidden_b, out_w, out_b))
+    return best
+
+
 class TestTrain:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            TrainConfig(seed=3, epochs=1),
+            TrainConfig(seed=4, epochs=3),
+            TrainConfig(seed=5, epochs=2, d=3, h=12),  # h > d: pools wider than d
+        ],
+        ids=["one_epoch", "three_epochs", "hidden_wider_than_embedding"],
+    )
+    def test_projected_gradients_equal_the_embedding_wide_ones(self, small_corpus, config):
+        model = train(small_corpus, config)
+        f1, weights = dense_reference_train(small_corpus, config)
+        assert model.val_macro_f1 == f1
+        for name, expected in zip((*WEIGHT_NAMES, "out_b"), weights):
+            np.testing.assert_allclose(getattr(model, name), expected, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("lr", [0.0, -5.0, float("nan")])
+    def test_non_positive_learning_rate_rejected(self, lr):
+        with pytest.raises(ValueError, match="lr must be > 0"):
+            TrainConfig(lr=lr)
+
     def test_reaches_high_validation_f1(self, trained_model):
         assert trained_model.val_macro_f1 is not None
         assert trained_model.val_macro_f1 >= 0.90
@@ -358,8 +463,9 @@ class TestTrain:
         assert a.out_b == b.out_b
 
     def test_plateau_halts_before_epoch_budget(self, small_corpus):
-        # lr=0 keeps validation F1 flat, so early stopping fires at 1 + patience.
-        model = train(small_corpus, TrainConfig(lr=0.0, epochs=200, patience=3, seed=0))
+        # A 1e-12 step flips no validation prediction, so F1 stays flat and
+        # early stopping fires at 1 + patience (lr=0 is refused).
+        model = train(small_corpus, TrainConfig(lr=1e-12, epochs=200, patience=3, seed=0))
         assert model.epochs_run == 4
 
     def test_single_class_corpus_rejected(self):
