@@ -182,11 +182,16 @@ def _is_plain_ascii(ch: str) -> bool:
     return ch.isascii() and (ch.isalnum() or ch in string.punctuation or ch.isspace())
 
 
+# `str.translate` table deleting every plain-ASCII character. Only ASCII can
+# be plain, so the 128 ASCII code points decide it.
+_DROP_PLAIN = {cp: None for cp in range(128) if _is_plain_ascii(chr(cp))}
+
+
 def is_mostly_ascii_english(text: str) -> bool:
     """Transparent stand-in for language detection: share of plain-ASCII chars."""
     if not text:
         return False
-    ok = sum(1 for ch in text if _is_plain_ascii(ch))
+    ok = len(text) - len(text.translate(_DROP_PLAIN))
     return ok / len(text) >= ENGLISH_ASCII_MIN_FRACTION
 
 
@@ -386,11 +391,14 @@ def _message_set(messages: Iterable[Message], origin: str | Path) -> MessageSet:
         raise CorpusError(f"{origin}: {exc}") from None
 
 
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+
+
 def write_jsonl(path: str | Path, records: Iterable[Mapping[str, Any]]) -> None:
     """Write one JSON object per line, keys sorted; the only JSON-lines writer."""
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
-            handle.write(json.dumps(record, sort_keys=True, ensure_ascii=False))
+            handle.write(_JSONL_ENCODER.encode(record))
             handle.write("\n")
 
 

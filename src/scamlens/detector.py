@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -182,7 +183,7 @@ class TokenizedInput:
     def __post_init__(self) -> None:
         if len(self.piece_ids) != len(self.alignment):
             raise ValueError("piece_ids and alignment must have equal length")
-        if any(b < a for a, b in zip(self.alignment, self.alignment[1:])):
+        if not all(map(operator.le, self.alignment, self.alignment[1:])):
             raise ValueError("alignment must be monotonically non-decreasing")
         if self.alignment and self.alignment[-1] >= len(self.words):
             raise ValueError("alignment references a word position out of range")
@@ -629,8 +630,9 @@ def save_model(model: DetectorModel, path: str | Path) -> None:
         "val_macro_f1": model.val_macro_f1,
         "epochs_run": model.epochs_run,
     }
+    # `json.dumps` runs the C encoder; `json.dump` streams through the Python one.
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
+        handle.write(json.dumps(payload))
         handle.write("\n")
 
 

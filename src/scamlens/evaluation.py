@@ -13,8 +13,9 @@ The entailment probabilities come from an external scoring endpoint or from
 a deterministic lexicon-based mock. Aggregation reports mean and sample
 standard deviation per condition in the shape of a four-row results table.
 
-Per-token work (content lemma, syllable count) is memoized in LRU caches of
-fixed size `_TOKEN_MEMO_SIZE`; every score is the same as without them.
+Per-token work (content lemma, syllable count, and the lemma of each evidence
+word) is memoized in LRU caches of fixed size `lexicon.TOKEN_MEMO_SIZE` that
+live for the process; every score is the same as without them.
 """
 
 from __future__ import annotations
@@ -73,8 +74,6 @@ class EvaluationConfig:
             raise ValueError("alpha must be in [0, 1]")
 
 
-_TOKEN_MEMO_SIZE = 1 << 16  # per memo; fixed, so remote text cannot grow memory unbounded
-
 # ---------------------------------------------------------------------------
 # Lemmatization
 # ---------------------------------------------------------------------------
@@ -117,7 +116,7 @@ def lemmatize(token: str) -> str:
     return word.strip(string.punctuation)
 
 
-@lru_cache(maxsize=_TOKEN_MEMO_SIZE)
+@lru_cache(maxsize=lexicon.TOKEN_MEMO_SIZE)
 def _content_lemma(token: str) -> str:
     # Returns "" for a stopword. Stopwords are dropped by the same surface
     # rule evidence filtering uses, so an echoed evidence word is never lost
@@ -132,8 +131,12 @@ def explanation_lemmas(text: str) -> frozenset[str]:
     return frozenset(filter(None, map(_content_lemma, text.split())))
 
 
+# Each evidence set is scored once per evidence condition, so its words recur.
+_evidence_lemma = lru_cache(maxsize=lexicon.TOKEN_MEMO_SIZE)(lemmatize)
+
+
 def evidence_lemmas(evidence: EvidenceSet) -> frozenset[str]:
-    return frozenset(l for l in (lemmatize(word) for word in evidence.words()) if l)
+    return frozenset(filter(None, map(_evidence_lemma, evidence.words())))
 
 
 def faithfulness(evidence: EvidenceSet, explanation: Explanation) -> float:
@@ -261,7 +264,7 @@ def count_syllables(word: str) -> int:
     return max(runs, 1)
 
 
-@lru_cache(maxsize=_TOKEN_MEMO_SIZE)
+@lru_cache(maxsize=lexicon.TOKEN_MEMO_SIZE)
 def _word_syllables(token: str) -> int:
     """Syllables of one whitespace token: 0 for a non-word, 1 for a number."""
     if not any(ch.isalpha() for ch in token):
@@ -286,15 +289,16 @@ def fkgl(text: str) -> ReadabilityBreakdown:
     all-digit tokens count one syllable.
     """
     sentences = split_sentences(text)
-    counts = [c for c in map(_word_syllables, text.split()) if c]
-    if not counts:
+    counts = list(map(_word_syllables, text.split()))
+    words = len(counts) - counts.count(0)
+    if not words:
         raise EmptyTextError("no countable words in text")
     syllables = sum(counts)
-    sc = len(counts) / len(sentences)
-    ld = syllables / len(counts)
+    sc = words / len(sentences)
+    ld = syllables / words
     value = 0.39 * sc + 11.8 * ld - 15.59
     return ReadabilityBreakdown(
-        words=len(counts),
+        words=words,
         sentences=len(sentences),
         syllables=syllables,
         sc=sc,

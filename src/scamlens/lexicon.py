@@ -13,6 +13,10 @@ import string
 
 STOPWORDS_VERSION = "en-core-v1"
 
+# Entries per per-word memo (evaluation's token memos, attribution's evidence
+# keep-test); fixed, so remote text cannot grow memory unbounded.
+TOKEN_MEMO_SIZE = 1 << 16
+
 # Common English function words. Pinned here (rather than pulled from an NLP
 # package) so evidence filtering and faithfulness scores are reproducible.
 STOPWORDS: frozenset[str] = frozenset(
@@ -72,11 +76,13 @@ def is_risk_token(token: str) -> bool:
 def is_stopword_surface(word: str) -> bool:
     """Stopword test on a raw token: lowercased, edge punctuation stripped.
 
-    Evidence filtering and explanation tokenization must share this exact
-    rule, otherwise an echoed evidence word could be dropped on one side
-    only and skew faithfulness.
+    A token of ASCII punctuation alone ("--", "...") strips to nothing, has
+    no content and counts as a stopword. Evidence filtering and explanation
+    tokenization must share this exact rule, otherwise an echoed evidence
+    word could be dropped on one side only and skew faithfulness.
     """
-    return word.lower().strip(string.punctuation) in STOPWORDS
+    stripped = word.lower().strip(string.punctuation)
+    return not stripped or stripped in STOPWORDS
 
 
 # Word list for the deterministic offline entailment scorer: surface forms of

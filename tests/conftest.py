@@ -81,6 +81,24 @@ def grad_wrt_embeddings(model: DetectorModel, piece_embeddings: np.ndarray) -> n
     return np.tile(g, (n, 1))
 
 
+def gradient_shap_reference(
+    model: DetectorModel, tokenized: detector.TokenizedInput, config
+) -> tuple[float, ...]:
+    """`attribution.gradient_shap` drawing from a fresh `default_rng(seed)` on
+    every call, with `Generator.normal` for the noise: the per-message-RNG
+    oracle that the shared draws must match bitwise."""
+    x = detector.embed(model, tokenized)
+    n, d = x.shape
+    baseline_row = model.embedding[detector.PAD_ID]
+    rng = np.random.default_rng(config.seed)
+    alphas = rng.uniform(0.0, 1.0, size=config.n_samples)
+    noise = rng.normal(0.0, config.noise_std / np.sqrt(n), size=(config.n_samples, d))
+    pooled = baseline_row + alphas[:, None] * (x.mean(axis=0) - baseline_row) + noise
+    mean_grad = detector.grad_wrt_pooled(model, pooled).mean(axis=0)
+    attribution = (x - baseline_row) * (mean_grad / n)
+    return tuple(float(s) for s in attribution.sum(axis=1))
+
+
 @pytest.fixture(scope="session")
 def small_corpus() -> corpus.MessageSet:
     return corpus.synth_corpus(seed=7, per_channel_per_label=30)

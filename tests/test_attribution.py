@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_model
+from conftest import gradient_shap_reference, make_model
+from scamlens import attribution, lexicon
 from scamlens.attribution import (
     AlignmentMismatchError,
     AttributionConfig,
@@ -21,7 +22,7 @@ from scamlens.attribution import (
     filter_evidence,
     gradient_shap,
 )
-from scamlens.corpus import format_input
+from scamlens.corpus import MARKER_TOKENS, Label, format_input
 from scamlens.detector import PAD_ID, TokenizedInput, tokenize
 
 
@@ -122,6 +123,47 @@ class TestGradientShap:
         assert peak < 2**20
 
 
+def cycled_input(model, n):
+    ids = tuple(5 + i % (len(model.vocab) - 5) for i in range(n))
+    return TokenizedInput(ids, tuple(range(n)), tuple(f"w{i}" for i in range(n)))
+
+
+def float_bytes(scores):
+    # Bitwise comparison: `==` would equate 0.0 with -0.0.
+    return np.array(scores, dtype=np.float64).tobytes()
+
+
+class TestSharedDraws:
+    """The draws shared across messages give the scores a fresh generator
+    per message gives, bit for bit."""
+
+    @pytest.mark.parametrize("noise_std", [0.0, 0.01, 0.5])
+    def test_matches_per_message_rng_oracle(self, noise_std):
+        model = frozen_random_model(4)
+        for seed in (0, 3, 2**31 + 5):
+            config = AttributionConfig(n_samples=32, noise_std=noise_std, seed=seed)
+            for n in (1, 2, 7, 64, 512, 7):
+                tok = cycled_input(model, n)
+                expected = gradient_shap_reference(model, tok, config)
+                assert float_bytes(gradient_shap(model, tok, config)) == float_bytes(expected)
+
+    def test_matches_oracle_on_trained_model(self, frozen_model, small_corpus):
+        config = AttributionConfig(n_samples=64, seed=11)
+        scams = [m for m in small_corpus if m.label is Label.SCAM][:20]
+        for message in scams:
+            tok = tokenize(format_input(message), frozen_model.vocab, frozen_model.piece_limit)
+            expected = gradient_shap_reference(frozen_model, tok, config)
+            assert float_bytes(gradient_shap(frozen_model, tok, config)) == float_bytes(expected)
+
+    def test_shared_draws_are_read_only(self):
+        alphas, standard = attribution._draws(0, 8, 4)
+        assert alphas.shape == (8,) and standard.shape == (8, 4)
+        for array in (alphas, standard):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+
 class TestAggregateToWords:
     def test_pieces_sum_into_their_word(self):
         tok = TokenizedInput((5, 6), (0, 0), ("winner",))
@@ -194,6 +236,15 @@ class TestFilterEvidence:
         out = filter_evidence(scores, words, k=3)
         assert out.words() == ("bit.ly/abc12",)
 
+    def test_punctuation_only_words_dropped(self):
+        # They strip to nothing, so they carry no content (their lemma is "").
+        # "!!" strips to nothing too, but is a risk token and stays.
+        scores = {0: 0.9, 1: 0.8, 2: 0.7, 3: 0.6, 4: 0.1}
+        words = ("--", "...", "-", "!!", "urgent")
+        assert all(lexicon.is_stopword_surface(w) for w in words[:4])
+        out = filter_evidence(scores, words, k=2)
+        assert out.words() == ("!!", "urgent")
+
     def test_k_must_be_positive(self):
         scores, words = {0: 0.1}, ("urgent",)
         with pytest.raises(ValueError):
@@ -235,6 +286,52 @@ class TestEndToEndEvidence:
             for word, _ in filter_evidence(scores, tok.words, k=8).phrases:
                 assert word not in MARKER_TOKENS
                 assert is_risk_token(word) or not is_stopword_surface(word)
+
+
+def _keeps_reference(word):
+    if word in MARKER_TOKENS:
+        return False
+    return lexicon.is_risk_token(word) or not lexicon.is_stopword_surface(word)
+
+
+def _filter_evidence_reference(scores, words, k):
+    survivors = sorted(
+        ((scores[p], p, words[p]) for p in scores if _keeps_reference(words[p])),
+        key=lambda item: (-item[0], item[1]),
+    )
+    return tuple((word, score) for score, _, word in survivors[:k])
+
+
+# Markers, risk tokens, stopwords in several cases and with edge punctuation,
+# punctuation-only tokens, content words and arbitrary text.
+_EVIDENCE_WORDS = st.one_of(
+    st.sampled_from(sorted(MARKER_TOKENS) + ["<sms>", "<Email>,"]),
+    st.sampled_from(["$500", "bit.ly/x", "HTTP://X.CO/A", "500USD", "500usd", "now!!", "it??", "€20,"]),
+    st.sampled_from(["The", "the", "THE", "it's,", "(you)", "IF:", "you're.", "--", "...", "-", "!", "?!"]),
+    st.sampled_from(["urgent", "Urgent", "URGENT!", "click", "prize.", "café", "日本語", "—"]),
+    st.text(min_size=1, max_size=8),
+)
+
+
+class TestEvidenceKeepMemo:
+    @given(st.lists(_EVIDENCE_WORDS, min_size=1, max_size=30), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_memoized_keep_test_matches_uncached_rule(self, words, data):
+        for word in words:
+            assert attribution._is_evidence_word(word) == _keeps_reference(word)
+        positions = data.draw(st.sets(st.integers(0, len(words) - 1)))
+        scores = {
+            p: data.draw(st.one_of(st.sampled_from([0.0, 0.5, -0.5]), st.floats(-1, 1)))
+            for p in positions
+        }
+        k = data.draw(st.integers(1, 10))
+        for _ in range(2):
+            assert filter_evidence(scores, words, k).phrases == _filter_evidence_reference(
+                scores, words, k
+            )
+
+    def test_memo_is_bounded(self):
+        assert attribution._is_evidence_word.cache_info().maxsize == lexicon.TOKEN_MEMO_SIZE
 
 
 @st.composite

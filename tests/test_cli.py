@@ -391,6 +391,34 @@ class TestPipelineCommand:
         assert rc == 1
         assert capsys.readouterr().err == "error: no messages survived the explanation filter\n"
 
+    def test_punctuation_only_words_leave_the_evidence_its_content(self, tmp_path):
+        # A predicted scam whose strongest words are "--" kept only those as
+        # evidence, which lemmatize to nothing, and scoring then failed.
+        base = corpus.synth_corpus(seed=7, per_channel_per_label=25)
+        punct = corpus.Message(
+            id="punct-1",
+            channel=corpus.Channel.SMS,
+            body="-- -- -- -- -- -- -- -- -- urgent",
+            label=corpus.Label.SCAM,
+        )
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus.save_jsonl(corpus.MessageSet(base.messages + (punct,)), corpus_path)
+        model_path = tmp_path / "model.json"
+        detector.save_model(detector.train(base, detector.TrainConfig(seed=7)), model_path)
+        config = write_config(
+            tmp_path, corpus_path=str(corpus_path), model_path=str(model_path), sample_fraction=1.0
+        )
+        out = tmp_path / "run"
+        assert cli.main(["pipeline", "--config", str(config), "--mock", "--out", str(out)]) == 0
+        predictions = {
+            r["id"]: r for r in map(json.loads, (out / "predictions.jsonl").read_text().splitlines())
+        }
+        assert predictions["punct-1"]["predicted_label"] == "scam"
+        evidence = {
+            r["id"]: r for r in map(json.loads, (out / "evidence.jsonl").read_text().splitlines())
+        }
+        assert [p["word"] for p in evidence["punct-1"]["phrases"]] == ["urgent"]
+
     def test_existing_nonempty_out_dir_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path)
         out = tmp_path / "run"

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scamlens import lexicon
+from scamlens import corpus, lexicon
 from scamlens.corpus import (
+    ENGLISH_ASCII_MIN_FRACTION,
     EXPLANATION_TOKEN_CAP,
     Channel,
     CorpusError,
@@ -21,6 +22,7 @@ from scamlens.corpus import (
     filter_for_explanation,
     format_input,
     ingest_jsonl,
+    is_mostly_ascii_english,
     load_jsonl,
     read_jsonl,
     save_jsonl,
@@ -229,6 +231,31 @@ class TestFilterForExplanation:
         ids = {m.id for m in small_corpus}
         assert all(m.id in ids for m in out)
         assert all(m.label is Label.SCAM for m in out)
+
+
+def _ascii_english_reference(text):
+    # The per-character rule the translate table stands in for.
+    if not text:
+        return False
+    ok = sum(1 for ch in text if corpus._is_plain_ascii(ch))
+    return ok / len(text) >= ENGLISH_ASCII_MIN_FRACTION
+
+
+class TestAsciiEnglish:
+    def test_every_code_point_below_0x3000_matches_per_character_rule(self):
+        # Nine letters and one probe character sit on the 0.9 threshold, and
+        # eight letters and two probes below it, so each probe decides.
+        for cp in range(0x3000):
+            ch = chr(cp)
+            plain = corpus._is_plain_ascii(ch)
+            assert is_mostly_ascii_english(ch) is plain, hex(cp)
+            assert is_mostly_ascii_english("abcdefgh" + ch + ch) is plain, hex(cp)
+            assert is_mostly_ascii_english("abcdefghi" + ch) is True, hex(cp)
+
+    @given(st.text(alphabet=st.one_of(st.characters(max_codepoint=127), st.characters())))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_character_rule_on_text(self, text):
+        assert is_mostly_ascii_english(text) is _ascii_english_reference(text)
 
 
 class TestSynthCorpus:

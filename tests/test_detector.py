@@ -592,6 +592,17 @@ class TestCheckpoint:
         assert predict_one(loaded, message) == predict_one(trained_model, message)
         assert loaded.val_macro_f1 == trained_model.val_macro_f1
 
+    def test_bytes_equal_streaming_json_dump(self, tmp_path, trained_model):
+        import io
+        import json
+
+        path = tmp_path / "model.json"
+        save_model(trained_model, path)
+        written = path.read_text(encoding="utf-8")
+        streamed = io.StringIO()
+        json.dump(json.loads(written), streamed)
+        assert written == streamed.getvalue() + "\n"
+
     def test_header_written(self, tmp_path, trained_model):
         import json
 

@@ -237,7 +237,17 @@ class TestTokenMemo:
             assert breakdown.syllables == syllables
             assert breakdown.fkgl == 0.39 * (words / sentences) + 11.8 * (syllables / words) - 15.59
 
-    @pytest.mark.parametrize("memo", [evaluation._content_lemma, evaluation._word_syllables])
+    @given(st.lists(_MEMO_TOKENS, min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_evidence_lemmas_match_uncached_lemmas(self, words):
+        evidence = make_evidence(*words)
+        expected = frozenset(lemma for lemma in map(lemmatize, words) if lemma)
+        assert evidence_lemmas(evidence) == expected
+        assert evidence_lemmas(evidence) == expected
+
+    @pytest.mark.parametrize(
+        "memo", [evaluation._content_lemma, evaluation._word_syllables, evaluation._evidence_lemma]
+    )
     def test_memo_is_bounded(self, memo):
         maxsize = memo.cache_info().maxsize
         assert isinstance(maxsize, int) and maxsize > 0
