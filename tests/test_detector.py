@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import hashlib
+import random
+import string
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -146,6 +150,50 @@ class TestBuildVocabEquivalence:
 
     def test_equals_the_per_occurrence_count_on_a_synthetic_corpus(self, small_corpus):
         assert build_vocab(small_corpus, 600).pieces == reference_build_vocab(small_corpus, 600).pieces
+
+
+def filler_corpus(seed: int) -> MessageSet:
+    """A synthetic corpus whose bodies end in random pseudo-words, so most of
+    its n-grams occur once and string order alone ranks them."""
+    rng = random.Random(seed)
+    return MessageSet(
+        tuple(
+            replace(
+                message,
+                body=" ".join(
+                    [message.body]
+                    + [
+                        "".join(rng.choice(string.ascii_lowercase) for _ in range(rng.randint(3, 9)))
+                        for _ in range(rng.randint(5, 15))
+                    ]
+                ),
+            )
+            for message in synth_corpus(seed, per_channel_per_label=20)
+        )
+    )
+
+
+class TestManyDistinctWords:
+    def test_checkpoint_bytes_are_pinned(self, tmp_path):
+        corpus = filler_corpus(17)
+        config = TrainConfig(seed=17, epochs=3, patience=3, vocab_size=4000)
+        vocab = build_vocab(corpus, config.vocab_size)
+        counts = Counter(
+            word.lower()[i : i + n]
+            for m in corpus
+            for word in format_input(m).text.split()
+            if word not in MARKER_TOKENS
+            for n in range(2, MAX_NGRAM + 1)
+            for i in range(len(word) - n + 1)
+        )
+        # The budget ends inside a run of count-1 grams, ranked by string alone.
+        assert sum(c == 1 for c in counts.values()) > 5000
+        assert len(vocab) == config.vocab_size and counts[vocab.pieces[-1]] == 1
+        path = tmp_path / "model.json"
+        save_model(train(corpus, config), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "ac97613f05e394dfe8dd8815f607955626ea6a6cd71e069faf174cbf3deb54d1"
+        )
 
 
 def dense_bags(rows, n_cols: int) -> np.ndarray:
