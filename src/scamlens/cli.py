@@ -411,26 +411,32 @@ def _evaluate(
     evidence_by_id: Mapping[str, attribution.EvidenceSet],
     path: Path,
 ) -> tuple[list[generation.Explanation], list[evaluation.MessageMetrics]]:
-    """The explanations, read once by the NLI scorer, and their metrics, in input order."""
+    """The explanations, read once by the NLI scorer, and their metrics, in input order.
+
+    A mock score is measured before the next explanation is read, so its
+    faithfulness reuses the lemma set the mock scorer just computed."""
     with _stage("evaluate"):
         if config.mock_nli:
-            scored = [(e, evaluation.mock_score_nli(e)) for e in explanations]
+            scored = ((e, evaluation.mock_score_nli(e)) for e in explanations)
         else:
             scored = evaluation.score_nli_many(config.nli, explanations)
-        metrics = [
-            evaluation.MessageMetrics(
-                message_id=e.message_id,
-                condition=e.condition,
-                correctness=evaluation.correctness(scores, config.evaluation),
-                fkgl=evaluation.fkgl(e.text).fkgl,
-                faithfulness=evaluation.faithfulness(evidence_by_id[e.message_id], e)
-                if e.condition.wants_evidence
-                else None,
+        scored_explanations: list[generation.Explanation] = []
+        metrics: list[evaluation.MessageMetrics] = []
+        for e, scores in scored:
+            scored_explanations.append(e)
+            metrics.append(
+                evaluation.MessageMetrics(
+                    message_id=e.message_id,
+                    condition=e.condition,
+                    correctness=evaluation.correctness(scores, config.evaluation),
+                    fkgl=evaluation.fkgl(e.text).fkgl,
+                    faithfulness=evaluation.faithfulness(evidence_by_id[e.message_id], e)
+                    if e.condition.wants_evidence
+                    else None,
+                )
             )
-            for e, scores in scored
-        ]
     corpus.write_jsonl(path, map(evaluation.metrics_to_record, metrics))
-    return [e for e, _ in scored], metrics
+    return scored_explanations, metrics
 
 
 def _report(metrics: Sequence[evaluation.MessageMetrics], out: Path) -> str:

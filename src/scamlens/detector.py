@@ -14,6 +14,11 @@ leaving every gradient hand-derivable:
 
 so dz/dx_i = (1/n) W1 (w2 * act'(h)) for every position i.
 
+The vocabulary is the most frequent character n-grams of the distinct
+lowered words. They are counted with numpy as exact integer keys, each built
+from the id of the gram's shorter prefix, so no alphabet overflows them, and
+counting memory grows with the characters of the distinct words.
+
 Training is full-batch gradient descent with early stopping on validation
 macro F1; there is no minibatch shuffling, so a (config, seed) pair always
 yields identical weights. Training holds the (N, V) bag matrix in sparse
@@ -124,6 +129,36 @@ class Vocab:
         return cls(pieces=pieces, index=index, max_piece_len=max_len)
 
 
+def _gram_counts(
+    ranks: np.ndarray, n_chars: int, left: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One position, the length and the weighted count of each distinct gram.
+
+    Per character of the joined words: `ranks` holds its rank by code point
+    among the `n_chars` distinct ones, `left` the characters from it to the
+    end of its word, and `weights` its word's count. The key of a length-n
+    gram is the id of its first n-1 characters times `n_chars` plus the rank
+    of its last one; its id is its key's index among the distinct keys.
+    """
+    positions: list[np.ndarray] = []
+    lengths: list[np.ndarray] = []
+    counts: list[np.ndarray] = []
+    starts = np.arange(len(ranks))
+    ids = np.zeros_like(ranks)  # at each start, the id of the (n-1)-gram there
+    for n in range(1, MAX_NGRAM + 1):
+        starts = starts[left[starts] >= n]
+        keys = ids[starts] * n_chars + ranks[starts + n - 1]
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        ids[starts] = inverse
+        position = np.empty(len(distinct), dtype=np.intp)
+        position[inverse] = starts
+        positions.append(position)
+        lengths.append(np.full(len(distinct), n))
+        # Float sums of integer counts are exact below 2**53.
+        counts.append(np.bincount(inverse, weights=weights[starts], minlength=len(distinct)))
+    return np.concatenate(positions), np.concatenate(lengths), np.concatenate(counts)
+
+
 def build_vocab(corpus: MessageSet, max_size: int) -> Vocab:
     """Most frequent character n-grams (n in 1..4) plus special pieces.
 
@@ -131,40 +166,49 @@ def build_vocab(corpus: MessageSet, max_size: int) -> Vocab:
     segmentation of in-corpus text never needs the unknown piece. Ties in
     frequency break lexicographically; the result is a pure function of the
     corpus content and order.
+
+    The distinct lowered words are joined into one text, and each gram
+    inside a word is counted once, weighted by its word's count, as an
+    integer key, one gram length at a time (`_gram_counts`). A length-n key
+    is built from the id of the gram's first n-1 characters, not from n
+    packed character ranks, so it stays below (characters) x (alphabet
+    size) and is exact for any alphabet; four packed ranks would overflow 64
+    bits at 65536 distinct characters. Grams are then ranked by count, then
+    by their character ranks padded with 0, which compare like the strings.
+    Memory grows with the characters of the distinct words, not with the
+    corpus size, and only the kept pieces are decoded.
     """
     if len(corpus) == 0:
         raise CorpusEmptyError("cannot build a vocabulary from an empty corpus")
-    words: Counter[str] = Counter()
-    for message in corpus:
-        words.update(format_input(message).text.split())
-    lowered: Counter[str] = Counter()
+    words = Counter(itertools.chain.from_iterable(format_input(m).text.split() for m in corpus))
+    lowered: dict[str, int] = {}
     for word, count in words.items():
         if word not in MARKER_TOKENS:
-            lowered[word.lower()] += count
-    # Each distinct word adds its n-grams once, weighted by its count.
-    counts: Counter[str] = Counter()
-    chars: set[str] = set()
-    for word, count in lowered.items():
-        chars.update(word)
-        for n in range(1, MAX_NGRAM + 1):
-            for i in range(len(word) - n + 1):
-                counts[word[i : i + n]] += count
-    minimum = len(SPECIAL_PIECES) + len(chars)
+            word = word.lower()
+            lowered[word] = lowered.get(word, 0) + count
+    text = "".join(lowered)
+    # One code unit per character, lone surrogates included, so an index
+    # into `codes` is an index into `text`.
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    alphabet, ranks = np.unique(codes, return_inverse=True)
+    minimum = len(SPECIAL_PIECES) + len(alphabet)
     if max_size < minimum:
         raise CorpusEmptyError(
             f"max_size {max_size} below specials + alphabet ({minimum}); cannot cover the corpus"
         )
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    pieces: list[str] = list(SPECIAL_PIECES)
-    pieces.extend(p for p, _ in ranked if len(p) == 1)
-    budget = max_size - len(pieces)
-    multis = (p for p, _ in ranked if len(p) > 1)
-    for piece in multis:
-        if budget <= 0:
-            break
-        pieces.append(piece)
-        budget -= 1
-    return Vocab.from_pieces(pieces)
+    lengths = np.fromiter(map(len, lowered), dtype=np.intp, count=len(lowered))
+    weights = np.repeat(np.fromiter(lowered.values(), dtype=np.float64, count=len(lowered)), lengths)
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(text))
+    position, length, counts = _gram_counts(ranks, len(alphabet), left, weights)
+    padded = [
+        np.where(length > k, ranks[np.minimum(position + k, len(text) - 1)] + 1, 0)
+        for k in range(MAX_NGRAM)
+    ]
+    ranked = np.lexsort((*reversed(padded), -counts))
+    multi = length[ranked] > 1
+    kept = np.concatenate((ranked[~multi], ranked[multi][: max_size - minimum]))
+    pieces = [text[p : p + n] for p, n in zip(position[kept].tolist(), length[kept].tolist())]
+    return Vocab.from_pieces(SPECIAL_PIECES + tuple(pieces))
 
 
 @dataclass(frozen=True)
@@ -194,21 +238,20 @@ def _segment_word(word: str, vocab: Vocab) -> tuple[int, ...]:
     if word in MARKER_TOKENS:
         return (vocab.index[word],)
     lowered = word.lower()
+    get = vocab.index.get
+    longest = vocab.max_piece_len
+    end = len(lowered)
     ids: list[int] = []
     i = 0
-    while i < len(lowered):
-        matched = False
-        for length in range(min(vocab.max_piece_len, len(lowered) - i), 0, -1):
-            candidate = lowered[i : i + length]
-            piece_id = vocab.index.get(candidate)
+    while i < end:
+        for j in range(min(i + longest, end), i, -1):
+            piece_id = get(lowered[i:j])
             if piece_id is not None:
-                ids.append(piece_id)
-                i += length
-                matched = True
                 break
-        if not matched:
-            ids.append(UNK_ID)
-            i += 1
+        else:
+            piece_id, j = UNK_ID, i + 1
+        ids.append(piece_id)
+        i = j
     return tuple(ids)
 
 
@@ -506,7 +549,7 @@ def train(corpus: MessageSet, config: TrainConfig) -> DetectorModel:
     bags_train = _Bags.from_rows([piece_ids[i] for i in train_idx], len(vocab))
     bags_val = _Bags.from_rows([piece_ids[i] for i in val_idx], len(vocab))
     y_train = y[train_idx]
-    val_labels = [Label.SCAM if y[i] == 1.0 else Label.HAM for i in val_idx]
+    val_scam = y[val_idx] == 1.0
 
     act, dact = ACTIVATIONS["tanh"]
     best: tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]] | None = None
@@ -532,8 +575,7 @@ def train(corpus: MessageSet, config: TrainConfig) -> DetectorModel:
         out_b -= config.lr * d_out_b
 
         val_logits = act(bags_val.pool(embedding @ hidden_w) + hidden_b) @ out_w + out_b
-        predicted = [Label.SCAM if z >= 0 else Label.HAM for z in val_logits]
-        f1 = macro_f1(predicted, val_labels)
+        f1 = _logit_macro_f1(val_logits, val_scam)
         if best is None or f1 > best[0]:
             best = (
                 f1,
@@ -585,16 +627,28 @@ def predict_set(model: DetectorModel, message_set: MessageSet) -> dict[str, Pred
 # ---------------------------------------------------------------------------
 
 
-def _class_f1(predicted: Sequence[Label], actual: Sequence[Label], positive: Label) -> float:
-    tp = sum(1 for p, a in zip(predicted, actual) if p is positive and a is positive)
-    fp = sum(1 for p, a in zip(predicted, actual) if p is positive and a is not positive)
-    fn = sum(1 for p, a in zip(predicted, actual) if p is not positive and a is positive)
+def _class_f1(tp: int, fp: int, fn: int) -> float:
     # A class absent from both sides contributes 0 by convention.
     if tp == 0:
         return 0.0
     precision = tp / (tp + fp)
     recall = tp / (tp + fn)
     return 2.0 * precision * recall / (precision + recall)
+
+
+def _f1_from_counts(tp: int, fp: int, fn: int, tn: int) -> float:
+    """Macro F1 from the confusion counts with scam as the positive class."""
+    return 0.5 * (_class_f1(tp, fp, fn) + _class_f1(tn, fn, fp))
+
+
+def _logit_macro_f1(logits: np.ndarray, scam: np.ndarray) -> float:
+    """`macro_f1` of the predictions `logits >= 0` (scam) against the boolean
+    labels `scam`, counted on the arrays."""
+    predicted = logits >= 0
+    tp = int(np.count_nonzero(predicted & scam))
+    fp = int(np.count_nonzero(predicted)) - tp
+    fn = int(np.count_nonzero(scam)) - tp
+    return _f1_from_counts(tp, fp, fn, len(scam) - tp - fp - fn)
 
 
 def macro_f1(predicted: Sequence[Label], actual: Sequence[Label]) -> float:
@@ -604,9 +658,9 @@ def macro_f1(predicted: Sequence[Label], actual: Sequence[Label]) -> float:
             f"predicted and actual must be equal-length and non-empty "
             f"({len(predicted)} vs {len(actual)})"
         )
-    return 0.5 * (
-        _class_f1(predicted, actual, Label.SCAM) + _class_f1(predicted, actual, Label.HAM)
-    )
+    pairs = Counter(zip(predicted, actual))
+    scam, ham = Label.SCAM, Label.HAM
+    return _f1_from_counts(pairs[scam, scam], pairs[scam, ham], pairs[ham, scam], pairs[ham, ham])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ standard deviation per condition in the shape of a four-row results table.
 
 Per-token work (content lemma, syllable count, and the lemma of each evidence
 word) is memoized in LRU caches of fixed size `lexicon.TOKEN_MEMO_SIZE` that
-live for the process; every score is the same as without them.
+live for the process, and the last explanation's lemma set is kept for the
+faithfulness score that follows its mock entailment score; every score is the
+same as without them.
 """
 
 from __future__ import annotations
@@ -126,6 +128,9 @@ def _content_lemma(token: str) -> str:
     return lemmatize(token)
 
 
+# Mock scoring and faithfulness read an explanation's lemmas one right after
+# the other, so one entry spares the second computation.
+@lru_cache(maxsize=1)
 def explanation_lemmas(text: str) -> frozenset[str]:
     """Lemmatized content-token set of an explanation."""
     return frozenset(filter(None, map(_content_lemma, text.split())))

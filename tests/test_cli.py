@@ -287,6 +287,37 @@ class TestScoreAll:
             (e.message_id, e.condition) for e in explanations
         ]
 
+    def test_mock_scoring_lemmatizes_each_explanation_once(self, tmp_path, monkeypatch):
+        # The mock scorer and faithfulness both read an explanation's lemma
+        # set; each explanation's tokens go through the lemmatizer once.
+        evaluation.explanation_lemmas("")  # so no earlier text is remembered
+        lemmatized = []
+        content_lemma = evaluation._content_lemma
+
+        def counting(token):
+            lemmatized.append(token)
+            return content_lemma(token)
+
+        monkeypatch.setattr(evaluation, "_content_lemma", counting)
+        evidence = {"m1": EvidenceSet(phrases=(("urgent", 0.3), ("prize", 0.2)), k=8)}
+        explanations = [
+            Explanation(
+                message_id="m1",
+                condition=condition,
+                text=f"{condition.value} : urgent prize , claim now .",
+                generator=GeneratorKind.MOCK,
+                model_name="mock",
+            )
+            for condition in Condition
+        ]
+        _, metrics = cli._evaluate(
+            cli.RunConfig(mock_nli=True), iter(explanations), evidence, tmp_path / "metrics.jsonl"
+        )
+        assert lemmatized == [token for e in explanations for token in e.text.split()]
+        assert [m.faithfulness for m in metrics] == [
+            1.0 if e.condition.wants_evidence else None for e in explanations
+        ]
+
 
 class TestBuildPrompts:
     # SHA-256 of the JSON list [system_text, user_text] of each condition's

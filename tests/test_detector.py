@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 import string
 import tracemalloc
@@ -104,8 +105,11 @@ def reference_build_vocab(corpus: MessageSet, max_size: int) -> Vocab:
             for n in range(1, MAX_NGRAM + 1):
                 for i in range(len(lowered) - n + 1):
                     counts[lowered[i : i + n]] += 1
-    if max_size < len(SPECIAL_PIECES) + len(chars):
-        raise CorpusEmptyError("max_size below specials + alphabet")
+    minimum = len(SPECIAL_PIECES) + len(chars)
+    if max_size < minimum:
+        raise CorpusEmptyError(
+            f"max_size {max_size} below specials + alphabet ({minimum}); cannot cover the corpus"
+        )
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     singles = [p for p, _ in ranked if len(p) == 1]
     multis = [p for p, _ in ranked if len(p) > 1]
@@ -136,20 +140,87 @@ vocab_corpora = st.integers(1, 8).flatmap(
 )
 
 
+def assert_matches_reference(corpus: MessageSet, max_size: int) -> None:
+    """`build_vocab` gives the reference's pieces, or raises its error text."""
+    try:
+        expected = reference_build_vocab(corpus, max_size)
+    except CorpusEmptyError as exc:
+        with pytest.raises(CorpusEmptyError) as raised:
+            build_vocab(corpus, max_size)
+        assert str(raised.value) == str(exc)
+        return
+    assert build_vocab(corpus, max_size).pieces == expected.pieces
+
+
+def sms_corpus(*bodies: str) -> MessageSet:
+    return MessageSet(
+        tuple(Message(id=f"m{i}", channel=Channel.SMS, body=b, label=Label.HAM) for i, b in enumerate(bodies))
+    )
+
+
+# A lone surrogate, as `json.loads` yields it from a JSON-lines corpus.
+LONE_SURROGATE = json.loads('"\\ud800"')
+
+# 70000 distinct code points from U+20000 on, which have no case, so the
+# character of rank r is chr(0x20000 + r). Each word is five of them, and
+# every 7th word recurs, so counts tie at 1 and at 2. Past 65536 ranks, four
+# packed ranks overflow 64 bits: the key of the 4-gram whose ranks are the
+# base-70000 digits of 2**64 wraps to that of four rank-0 characters, so
+# both are in the corpus, three times each.
+_WIDE = [chr(0x20000 + i) for i in np.random.default_rng(0).permutation(70000).tolist()]
+_WIDE_WORDS = ["".join(_WIDE[i : i + 5]) for i in range(0, len(_WIDE), 5)]
+_WRAPPING = ["".join(chr(0x20000 + (2**64 // 70000**p) % 70000) for p in (3, 2, 1, 0)), chr(0x20000) * 4]
+WIDE_BODY = " ".join(_WIDE_WORDS + _WIDE_WORDS[::7] + _WRAPPING * 3)
+
+
 class TestBuildVocabEquivalence:
     @given(vocab_corpora, st.integers(1, 80))
     @settings(max_examples=150, deadline=None)
     def test_equals_the_per_occurrence_count(self, corpus, max_size):
-        try:
-            expected = reference_build_vocab(corpus, max_size)
-        except CorpusEmptyError:
-            with pytest.raises(CorpusEmptyError):
-                build_vocab(corpus, max_size)
-            return
-        assert build_vocab(corpus, max_size).pieces == expected.pieces
+        assert_matches_reference(corpus, max_size)
 
     def test_equals_the_per_occurrence_count_on_a_synthetic_corpus(self, small_corpus):
         assert build_vocab(small_corpus, 600).pieces == reference_build_vocab(small_corpus, 600).pieces
+
+    @pytest.mark.parametrize(
+        "bodies, max_size",
+        [
+            # NUL ranks first, so "a" < "a\0" < "a\0b" < "ab" must all hold.
+            (("a\x00b ab a\x00 \x00\x00 ab",), 40),
+            # Astral characters are one code point each, above every BMP one.
+            (("\U0001F600\U0001F600x x\U0001F600 \uffff\U0001F600 \U0001F600\U0001F600x",), 30),
+            # A lone surrogate ranks between its BMP neighbours.
+            ((f"a{LONE_SURROGATE}b ab a{LONE_SURROGATE} {LONE_SURROGATE}\ud7ff \ue000{LONE_SURROGATE}",), 30),
+            # Only marker tokens: no character and no gram.
+            (("<SMS> <Email>", "<SNS>"), len(SPECIAL_PIECES)),
+            (("<SMS> <Email>", "<SNS>"), len(SPECIAL_PIECES) - 1),
+            # Every gram of "abcd" ties at 2, across all four lengths; the
+            # budget ends between "abcd" and "bc".
+            (("abcd abcd",), len(SPECIAL_PIECES) + 4 + 3),
+            (("abcd abcd xyz",), 10_000),
+            (("abcdefgh",), 6),
+            ((WIDE_BODY,), len(SPECIAL_PIECES) + 70000 + 500),
+            ((WIDE_BODY,), len(SPECIAL_PIECES) + 69999),
+        ],
+        ids=[
+            "nul",
+            "astral",
+            "lone_surrogate",
+            "markers_only",
+            "markers_only_below_specials",
+            "ties_across_lengths",
+            "max_size_above_distinct_grams",
+            "max_size_below_alphabet",
+            "alphabet_above_65536",
+            "alphabet_above_65536_below_alphabet",
+        ],
+    )
+    def test_equals_the_reference_on_edge_corpora(self, bodies, max_size):
+        assert_matches_reference(sms_corpus(*bodies), max_size)
+
+    def test_ties_across_lengths_break_by_string(self):
+        vocab = build_vocab(sms_corpus("abcd abcd"), len(SPECIAL_PIECES) + 4 + 3)
+        assert vocab.pieces[len(SPECIAL_PIECES) :] == ("a", "b", "c", "d", "ab", "abc", "abcd")
 
 
 def filler_corpus(seed: int) -> MessageSet:
@@ -299,6 +370,49 @@ class TestSegmentationMemo:
         vocab = make_vocab()
         with pytest.raises(TypeError):
             Vocab(pieces=vocab.pieces, index=vocab.index, max_piece_len=vocab.max_piece_len, segments={})
+
+
+def reference_segment(word: str, vocab: Vocab) -> tuple[int, ...]:
+    """Plain greedy longest match over every non-special piece, of any length."""
+    if word in MARKER_TOKENS:
+        return (vocab.index[word],)
+    plain = {p: i for p, i in vocab.index.items() if p not in SPECIAL_PIECES}
+    text = word.lower()
+    ids: list[int] = []
+    i = 0
+    while i < len(text):
+        match = max((p for p in plain if text.startswith(p, i)), key=len, default=None)
+        ids.append(UNK_ID if match is None else plain[match])
+        i += 1 if match is None else len(match)
+    return tuple(ids)
+
+
+# "z" and "ω" are in no vocabulary below; "İ" lower-cases to "i" + U+0307.
+segment_chars = "abcdiz\u0130\u0307ω"
+
+
+class TestSegmentWord:
+    @given(
+        st.lists(st.text(alphabet="abcdi\u0307", min_size=2, max_size=6), max_size=12),
+        st.lists(
+            st.one_of(st.text(alphabet=segment_chars, min_size=1, max_size=14), st.sampled_from(sorted(MARKER_TOKENS))),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_plain_greedy_longest_match(self, extra, words):
+        vocab = Vocab.from_pieces(SPECIAL_PIECES + tuple("abcdi") + tuple(dict.fromkeys(extra)))
+        for word in words:
+            assert detector._segment_word(word, vocab) == reference_segment(word, vocab), word
+
+    def test_words_longer_than_the_longest_piece(self):
+        vocab = make_vocab("ab", "abc", "cab")
+        assert vocab.max_piece_len == 3
+        word = "abcabcababzc\u0130"
+        assert len(word) > vocab.max_piece_len
+        assert detector._segment_word(word, vocab) == reference_segment(word, vocab)
+        assert [vocab.pieces[i] for i in detector._segment_word("ABCABZ", vocab)] == ["abc", "ab", "z"]
 
 
 class TestTokenize:
@@ -592,6 +706,42 @@ class TestImmutability:
             weights[name].flat[-1] = bad
         with pytest.raises(NonFiniteWeightsError):
             DetectorModel(vocab=trained_model.vocab, **weights)
+
+
+class TestLogitMacroF1:
+    """The epoch's count-based F1 of `logits >= 0` equals `macro_f1` on labels."""
+
+    @staticmethod
+    def check(logits, scam) -> None:
+        logits, scam = np.asarray(logits, dtype=np.float64), np.asarray(scam, dtype=bool)
+        predicted = [Label.SCAM if z >= 0 else Label.HAM for z in logits]
+        actual = [Label.SCAM if s else Label.HAM for s in scam]
+        assert detector._logit_macro_f1(logits, scam) == macro_f1(predicted, actual)
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([0.0, -0.0, 1e-300, -1e-300]) | st.floats(-5, 5), st.booleans()),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=200)
+    def test_equals_macro_f1_on_random_vectors(self, pairs):
+        self.check([z for z, _ in pairs], [s for _, s in pairs])
+
+    @pytest.mark.parametrize(
+        "logits, scam",
+        [
+            ([1.0, 2.0, 0.0], [True, True, True]),  # one class, all right
+            ([-1.0, -2.0], [False, False]),  # the other class alone
+            ([-1.0, 0.5, -3.0], [True, True, True]),  # one class, some wrong
+            ([-1.0, 2.0, -0.5, 0.0], [True, False, True, False]),  # all wrong
+            ([0.0, 0.0, -0.0], [True, False, False]),  # exact zeros predict scam
+        ],
+        ids=["one_class", "other_class", "one_class_mixed", "all_wrong", "zero_logits"],
+    )
+    def test_equals_macro_f1_on_edge_vectors(self, logits, scam):
+        self.check(logits, scam)
 
 
 class TestMacroF1:
