@@ -4,6 +4,11 @@ Builds prompts for the four experimental conditions and obtains explanations
 either from an OpenAI-compatible chat-completions endpoint or from a
 deterministic in-process mock. The generator never classifies: it explains a
 message that upstream stages already judged to be a scam.
+
+The module also holds the one request path of both remote clients, this one
+and the entailment scorer: `post_json_with_retry` over `http.client`, and
+`run_batch`, which keeps up to MAX_IN_FLIGHT requests in flight, each worker
+on a connection it keeps for the batch.
 """
 
 from __future__ import annotations
@@ -11,16 +16,18 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import socket
 import threading
 import time
+import urllib.request
+from base64 import b64encode
 from collections import deque
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
-from urllib.error import HTTPError, URLError
-from urllib.parse import urlsplit
-from urllib.request import HTTPRedirectHandler, Request, build_opener
+from urllib.parse import SplitResult, unquote, urlsplit, urlunsplit
 
 from . import persona
 from .attribution import EvidenceSet
@@ -225,20 +232,25 @@ def evidence_phrases_from_prompt(prompt: Prompt) -> list[str]:
 
 # Concurrent requests per batch. Generation and NLI scoring each run one
 # batch, so each endpoint sees at most this many at once.
-MAX_IN_FLIGHT = 4
+MAX_IN_FLIGHT = 16
 
+# Of those, the most that may run at once on connections that have not yet
+# carried an answer. A server that closes every connection thus sees no more
+# connects at once than this; one that keeps them alive gets MAX_IN_FLIGHT.
+OPENING_GATE = 4
 
-class _NoRedirect(HTTPRedirectHandler):
-    """Follow no redirect: the default handler re-sends a 301/302/303 as a GET
-    to any host or scheme, Authorization header included. The 3xx answer
-    then fails like any other non-2xx status."""
+# Read once per process, at import, as urllib.request reads them.
+_PROXIES = urllib.request.getproxies()
 
-    def redirect_request(self, req, fp, code, msg, headers, newurl):
-        return None
+# Linux only: ack the answer's first segment at once. A server that writes
+# headers and body apart with Nagle's algorithm on holds the body until that
+# ack, which a delayed ack would put off by up to 40 ms per request.
+_QUICKACK = getattr(socket, "TCP_QUICKACK", None)
 
+_CONNECTIONS = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
 
-# Built once per process, so HTTP(S)_PROXY are read at import.
-_OPENER = build_opener(_NoRedirect)
+# `batch` is the _Batch a run_batch pool worker serves; unset elsewhere.
+_worker = threading.local()
 
 
 _Item = TypeVar("_Item")
@@ -259,19 +271,135 @@ def auth_headers(config: EndpointConfig) -> dict[str, str]:
     return {"Authorization": f"Bearer {key}"}
 
 
+@dataclass(frozen=True)
+class _Route:
+    """A connection to one origin, the request target to send on it, and the
+    headers the proxy on the way needs."""
+
+    conn: http.client.HTTPConnection
+    target: str
+    headers: Mapping[str, str]
+
+    @classmethod
+    def open(cls, url: SplitResult, timeout: float) -> _Route:
+        """A new route to `url`'s origin, by urllib.request's proxy rules: no
+        proxy where NO_PROXY names the host (read at each call), an http URL
+        in absolute form to the proxy, an https one through a CONNECT tunnel.
+        Nothing is sent before the first request."""
+        target = urlunsplit(("", "", url.path or "/", url.query, ""))
+        proxy = _PROXIES.get(url.scheme)
+        if not proxy or urllib.request.proxy_bypass(url.netloc):
+            return cls(_CONNECTIONS[url.scheme](url.netloc, timeout=timeout), target, {})
+        proxy_url = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+        auth = {}
+        if proxy_url.username and proxy_url.password:
+            credentials = f"{unquote(proxy_url.username)}:{unquote(proxy_url.password)}"
+            auth["Proxy-Authorization"] = "Basic " + b64encode(credentials.encode()).decode("ascii")
+        proxy_host = proxy_url.netloc.rpartition("@")[2]
+        if url.scheme == "https":
+            conn = http.client.HTTPSConnection(proxy_host, timeout=timeout)
+            conn.set_tunnel(url.netloc, headers=auth)
+            return cls(conn, target, {})
+        conn = _CONNECTIONS.get(proxy_url.scheme, http.client.HTTPConnection)(
+            proxy_host, timeout=timeout
+        )
+        return cls(conn, urlunsplit(url._replace(fragment="")), auth)
+
+    def send(self, body: bytes, headers: Mapping[str, str]) -> http.client.HTTPResponse:
+        """POST `body` and read the answer's status line and headers."""
+        self.conn.request("POST", self.target, body, {**headers, **self.headers})
+        if _QUICKACK is not None:
+            self.conn.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
+        return self.conn.getresponse()
+
+
+class _Batch:
+    """The connections of one run_batch. Each worker keeps one per origin,
+    under `kept[(thread id, scheme, netloc)]`, while it is idle; a worker
+    touches only its own keys. `gate` holds OPENING_GATE permits."""
+
+    def __init__(self) -> None:
+        self.kept: dict[tuple[int, str, str], _Route] = {}
+        self.gate = threading.Semaphore(OPENING_GATE)
+
+    def serve(self) -> None:
+        _worker.batch = self
+
+    def close(self) -> None:
+        """Close every kept connection; called once no worker runs."""
+        for route in self.kept.values():
+            route.conn.close()
+        self.kept.clear()
+
+
+def _exchange(
+    route: _Route,
+    body: bytes,
+    headers: Mapping[str, str],
+    keep: Callable[[_Route], None] | None,
+    reused: bool = False,
+) -> tuple[int, http.client.HTTPMessage, bytes] | None:
+    """Send on `route` and drain the whole answer: status, headers and body.
+    The connection then goes to `keep`, or is closed when there is no `keep`,
+    when the server closes it, or on any failure. None, for a `reused` route
+    found closed or reset before it answers."""
+    answered = False
+    try:
+        response = route.send(body, headers)
+        answered = True
+        raw = response.read()
+    except BaseException as exc:
+        route.conn.close()
+        if reused and not answered and isinstance(exc, ConnectionError):
+            return None
+        raise
+    if keep is None or response.will_close:
+        route.conn.close()
+    else:
+        keep(route)
+    return response.status, response.msg, raw
+
+
+def _post(
+    url: str, body: bytes, headers: Mapping[str, str], timeout: float
+) -> tuple[int, http.client.HTTPMessage, bytes]:
+    """One POST and its whole answer.
+
+    Outside a batch, a new connection carries the one request and is closed.
+    A batch worker sends on the connection it kept for the URL's origin, if
+    any, and keeps it again. One found closed or reset before it answers was
+    dropped by the server while idle: the request goes out again at once on
+    a new connection. A request on a new connection holds a permit of the
+    batch's gate until its answer is read."""
+    split = urlsplit(url)
+    batch: _Batch | None = getattr(_worker, "batch", None)
+    if batch is None:
+        return _exchange(_Route.open(split, timeout), body, headers, None)
+    key = (threading.get_ident(), split.scheme, split.netloc)
+    keep = partial(batch.kept.__setitem__, key)
+    route = batch.kept.pop(key, None)
+    if route is not None:
+        route.conn.sock.settimeout(timeout)
+        answer = _exchange(route, body, headers, keep, reused=True)
+        if answer is not None:
+            return answer
+    with batch.gate:
+        return _exchange(_Route.open(split, timeout), body, headers, keep)
+
+
 def post_json_with_retry(
     config: EndpointConfig, path: str, payload: dict[str, Any]
 ) -> tuple[str, Any]:
     """POST `payload` to `path` under the endpoint; returns the URL and the
-    decoded JSON body. The one request path of both remote clients; each
-    request opens its own connection.
+    decoded JSON body. The one request path of both remote clients, over
+    `http.client` (see `_post` for which connection carries a request).
 
     Timeouts, connection errors, 429 and 5xx are retried with exponential
     backoff; a 429 or 503 whose Retry-After header gives delta-seconds waits
     that long instead (an HTTP-date keeps the backoff). Any other non-2xx
     status raises at once, naming the status: auth failures (401/403) as
-    AuthError, the rest, redirects included, as TransportError. Every failure
-    is a TransportError that names the URL.
+    AuthError, the rest, redirects included, as TransportError; no redirect
+    is followed. Every failure is a TransportError that names the URL.
     """
     url = config.base_url.rstrip("/") + path
     headers = {**auth_headers(config), "Content-Type": "application/json"}
@@ -280,18 +408,23 @@ def post_json_with_retry(
     last_failure: TransportError | None = None
     for attempt in range(attempts):
         delay = config.backoff_base * (2**attempt)
-        # A fresh Request per attempt: the proxy handler rewrites the one it
-        # is given, and a reused one would fall from HTTPS to plain HTTP.
-        request = Request(url, data, headers, method="POST")
         try:
-            with _OPENER.open(request, timeout=config.timeout) as response:
-                raw = response.read()
-        except HTTPError as exc:
-            exc.close()
-            status = exc.code
+            status, answer_headers, raw = _post(url, data, headers, config.timeout)
+        except (OSError, http.client.HTTPException) as exc:
+            if isinstance(exc, TimeoutError):
+                last_failure = TransportTimeoutError(f"{url}: timed out after {config.timeout}s")
+            else:
+                last_failure = TransportError(f"{url}: connection failed ({exc})")
+            last_failure.__cause__ = exc
+        else:
+            if 200 <= status < 300:
+                try:
+                    return url, json.loads(raw)
+                except ValueError as exc:
+                    raise TransportError(f"{url}: response body is not JSON ({exc})") from None
             if status in (401, 403):
-                raise AuthError(f"{url}: authentication rejected ({status})") from None
-            retry_after = exc.headers.get("Retry-After", "").strip()
+                raise AuthError(f"{url}: authentication rejected ({status})")
+            retry_after = answer_headers.get("Retry-After", "").strip()
             if status in (429, 503) and retry_after.isdecimal():
                 delay = int(retry_after)
             if status == 429:
@@ -299,21 +432,7 @@ def post_json_with_retry(
             elif status >= 500:
                 last_failure = TransportError(f"{url}: server error ({status})")
             else:
-                raise TransportError(f"{url}: request failed ({status})") from None
-        except (OSError, http.client.HTTPException) as exc:
-            # URLError wraps a failure to connect or send; one while waiting
-            # for or reading the answer arrives bare.
-            reason = exc.reason if isinstance(exc, URLError) else exc
-            if isinstance(reason, TimeoutError):
-                last_failure = TransportTimeoutError(f"{url}: timed out after {config.timeout}s")
-            else:
-                last_failure = TransportError(f"{url}: connection failed ({reason})")
-            last_failure.__cause__ = exc
-        else:
-            try:
-                return url, json.loads(raw)
-            except ValueError as exc:
-                raise TransportError(f"{url}: response body is not JSON ({exc})") from None
+                raise TransportError(f"{url}: request failed ({status})")
         if attempt < attempts - 1:
             time.sleep(delay)
     assert last_failure is not None
@@ -329,15 +448,17 @@ def run_batch(
     Items are read lazily, so `items` may itself be the stream of another
     batch: after the first 2 * MAX_IN_FLIGHT, one item is read for each
     result yielded, and at most MAX_IN_FLIGHT calls run at once on the
-    batch's own pool. The first failure, of a call in any position or of
-    `items`, stops the batch: no further item is read, and no call that has
-    not started sends anything. The earliest failure in input order is
-    raised once the running calls finish, and `items` is then closed, which
-    stops an upstream batch the same way. Closing the stream early does the
-    same without raising.
+    batch's own pool. Each worker of the pool keeps one connection per origin
+    for the batch (see `_post`), and every one is closed when the batch ends.
+    The first failure, of a call in any position or of `items`, stops the
+    batch: no further item is read, and no call that has not started sends
+    anything. The earliest failure in input order is raised once the running
+    calls finish, and `items` is then closed, which stops an upstream batch
+    the same way. Closing the stream early does the same without raising.
     """
     source = iter(items)
-    pool = ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT)
+    batch = _Batch()
+    pool = ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT, initializer=batch.serve)
     failed = threading.Event()
 
     def note_failure(future: Future) -> None:
@@ -368,6 +489,7 @@ def run_batch(
             yield pending.popleft().result()
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
+        batch.close()
         close = getattr(source, "close", None)
         if close is not None:
             close()

@@ -120,14 +120,25 @@ class ScriptedServer:
     Each script entry is a dict with optional keys: status (default 200, or
     callable(path) -> int), body (dict or callable(path, request_body) ->
     dict), raw (bytes sent as the body in place of `body`), headers (extra
-    response headers), delay (seconds).
+    response headers), delay (seconds), close (True: close the connection
+    after the answer without saying so, as a server drops an idle one).
     The last entry repeats once the script is exhausted. Every request is
     recorded as (path, headers, parsed body). `events` lists ("request", path)
     when a request arrives and ("answer", path) just before its answer is
     sent, in that order; `peak_in_flight` counts the most requests open at once per path.
+    A CONNECT is recorded as ("CONNECT host:port", headers, {}) and refused
+    with 503, so the server can stand in for a proxy that opens no tunnel.
+
+    By default the server speaks HTTP/1.0 and closes each connection after
+    its answer. With `protocol_version="HTTP/1.1"` it keeps connections
+    alive, and answers in two writes (headers, then body) with Nagle's
+    algorithm on. `connections` counts the connections accepted, and
+    `eofs` those the client closed.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, protocol_version: str = "HTTP/1.0") -> None:
+        self.connections = 0
+        self.eofs = 0
         self.script: list[dict] = []
         self.requests: list[tuple[str, dict, dict]] = []
         self.events: list[tuple[str, str]] = []
@@ -139,6 +150,20 @@ class ScriptedServer:
         server = self
 
         class Handler(BaseHTTPRequestHandler):
+            def handle(self) -> None:
+                with server._lock:
+                    server.connections += 1
+                super().handle()
+                # An empty request line is the client's EOF.
+                if getattr(self, "raw_requestline", None) == b"":
+                    with server._lock:
+                        server.eofs += 1
+
+            def do_CONNECT(self) -> None:  # noqa: N802 (http.server API)
+                with server._lock:
+                    server.requests.append((f"CONNECT {self.path}", dict(self.headers), {}))
+                self.send_error(503)
+
             def do_POST(self) -> None:  # noqa: N802 (http.server API)
                 length = int(self.headers.get("Content-Length", 0))
                 raw = self.rfile.read(length) if length else b"{}"
@@ -174,19 +199,31 @@ class ScriptedServer:
                     self.wfile.write(data)
                 except (BrokenPipeError, ConnectionResetError):
                     pass
+                if entry.get("close"):
+                    self.close_connection = True
 
             def log_message(self, *args) -> None:
                 pass
 
+        Handler.protocol_version = protocol_version
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         self._httpd.daemon_threads = True
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        # A short poll, so that close() does not wait out the default 0.5 s.
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
         self._thread.start()
 
     @property
     def url(self) -> str:
         host, port = self._httpd.server_address
         return f"http://{host}:{port}"
+
+    def wait_for_eofs(self, timeout: float = 5.0) -> None:
+        """Wait until the client has closed every connection, or `timeout` passes."""
+        deadline = time.monotonic() + timeout
+        while self.eofs < self.connections and time.monotonic() < deadline:
+            time.sleep(0.005)
 
     def close(self) -> None:
         self._httpd.shutdown()
@@ -196,5 +233,12 @@ class ScriptedServer:
 @pytest.fixture
 def stub_server():
     server = ScriptedServer()
+    yield server
+    server.close()
+
+
+@pytest.fixture
+def keep_alive_server():
+    server = ScriptedServer("HTTP/1.1")
     yield server
     server.close()

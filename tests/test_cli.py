@@ -13,7 +13,7 @@ from scamlens import cli, corpus, detector, evaluation, lexicon, persona
 from scamlens.attribution import AttributionConfig, EvidenceSet
 from scamlens.cli import ConfigError, interpolate_env, load_run_config, parse_conditions
 from scamlens.evaluation import EvaluationConfig
-from scamlens.generation import MAX_IN_FLIGHT, Condition, Explanation, GeneratorKind
+from scamlens.generation import MAX_IN_FLIGHT, OPENING_GATE, Condition, Explanation, GeneratorKind
 
 ARTIFACTS = (
     "corpus.jsonl",
@@ -676,13 +676,13 @@ class TestRemoteOverlap:
         return sum(1 for p, _, _ in stub_server.requests if p == path)
 
     def test_scoring_starts_before_generation_ends_and_keeps_input_order(
-        self, tmp_path, frozen_model, stub_server, monkeypatch
+        self, tmp_path, frozen_model, keep_alive_server, monkeypatch
     ):
-        rc, out = self._run(tmp_path, frozen_model, stub_server, monkeypatch)
+        rc, out = self._run(tmp_path, frozen_model, keep_alive_server, monkeypatch)
         assert rc == 0
-        assert stub_server.peak_in_flight["/chat/completions"] == MAX_IN_FLIGHT
-        assert stub_server.peak_in_flight["/nli"] <= MAX_IN_FLIGHT
-        events = stub_server.events
+        assert keep_alive_server.peak_in_flight["/chat/completions"] == MAX_IN_FLIGHT
+        assert keep_alive_server.peak_in_flight["/nli"] <= MAX_IN_FLIGHT
+        events = keep_alive_server.events
         first_nli = events.index(("request", "/nli"))
         last_chat_answer = max(i for i, e in enumerate(events) if e == ("answer", "/chat/completions"))
         assert first_nli < last_chat_answer
@@ -695,7 +695,17 @@ class TestRemoteOverlap:
         }
         for name, records in rows.items():
             assert [(r["message_id"], r["condition"]) for r in records] == expected, name
-        assert self._count(stub_server, "/nli") == self._count(stub_server, "/chat/completions") == len(expected)
+        assert self._count(keep_alive_server, "/nli") == self._count(keep_alive_server, "/chat/completions") == len(expected)
+
+    def test_a_server_that_closes_every_connection_sees_the_opening_gate(
+        self, tmp_path, frozen_model, stub_server, monkeypatch
+    ):
+        rc, out = self._run(tmp_path, frozen_model, stub_server, monkeypatch)
+        assert rc == 0
+        assert stub_server.peak_in_flight["/chat/completions"] == OPENING_GATE
+        assert stub_server.peak_in_flight["/nli"] <= OPENING_GATE
+        explained = len((out / "evidence.jsonl").read_text().splitlines())
+        assert self._count(stub_server, "/nli") == self._count(stub_server, "/chat/completions") == 4 * explained
 
     def test_rejected_scoring_key_stops_generation(
         self, tmp_path, frozen_model, stub_server, monkeypatch, capsys

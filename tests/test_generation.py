@@ -1,16 +1,18 @@
 from __future__ import annotations
 
-import io
+import gc
+import itertools
 import json
 import socket
 import string
+import sys
 import threading
 import time
-from http.client import HTTPMessage
+import warnings
 from types import SimpleNamespace
-from urllib.error import HTTPError
 
 import pytest
+from conftest import ScriptedServer
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +30,7 @@ from scamlens.generation import (
     GeneratorKind,
     LlmClientConfig,
     MAX_IN_FLIGHT,
+    OPENING_GATE,
     RateLimitedError,
     TransportError,
     TransportTimeoutError,
@@ -335,25 +338,47 @@ class TestRemoteClient:
             generate(client_config(stub_server.url), prompt)
         assert len(stub_server.requests) == 1
 
-    def test_every_attempt_sends_a_fresh_request(self, monkeypatch):
-        # The proxy handler rewrites the Request it opens; a reused one would
-        # reach its third attempt as plain HTTP, bearer token included.
-        seen = []
+    @pytest.fixture
+    def no_proxy_env(self, monkeypatch):
+        for name in ("NO_PROXY", "no_proxy"):
+            monkeypatch.delenv(name, raising=False)
 
-        def open_through_proxy(request, timeout):
-            seen.append((request, request.type, request.host, request.selector))
-            request.set_proxy("proxy.invalid:3128", "http")
-            raise HTTPError(request.full_url, 503, "busy", HTTPMessage(), io.BytesIO())
-
-        monkeypatch.setattr(generation, "_OPENER", SimpleNamespace(open=open_through_proxy))
+    def test_every_attempt_sends_a_fresh_request(self, stub_server, monkeypatch, no_proxy_env):
+        # Behind a proxy, every attempt to an https endpoint asks for a
+        # CONNECT tunnel; none falls back to plain HTTP with the bearer token.
+        monkeypatch.setattr(generation, "_PROXIES", {"https": stub_server.url})
         monkeypatch.setattr(generation, "time", SimpleNamespace(sleep=lambda _: None))
         prompt = build_prompt(Condition.PURE_LLM, MESSAGE, message_id="m1")
-        with pytest.raises(TransportError, match=r"server error \(503\)"):
+        with pytest.raises(TransportError, match=r"connection failed \(Tunnel connection failed: 503"):
             generate(client_config("https://api.example.invalid", max_retries=2), prompt)
-        assert len({id(request) for request, *_ in seen}) == 3
-        assert [sent for _, *sent in seen] == [
-            ["https", "api.example.invalid", "/chat/completions"]
+        assert [path for path, _, _ in stub_server.requests] == [
+            "CONNECT api.example.invalid:443"
         ] * 3
+        assert not any("Authorization" in headers for _, headers, _ in stub_server.requests)
+
+    def test_http_endpoint_reaches_the_proxy_in_absolute_form(
+        self, stub_server, monkeypatch, no_proxy_env
+    ):
+        monkeypatch.setattr(generation, "_PROXIES", {"http": stub_server.url})
+        stub_server.script = [{"status": 200, "body": self._completion()}]
+        prompt = build_prompt(Condition.PURE_LLM, MESSAGE, message_id="m1")
+        assert generate(client_config("http://api.example.invalid/v1"), prompt).text
+        [(path, headers, _)] = stub_server.requests
+        assert path == "http://api.example.invalid/v1/chat/completions"
+        assert headers["Host"] == "api.example.invalid"
+
+    def test_no_proxy_bypasses_the_proxy(self, stub_server, monkeypatch, no_proxy_env):
+        proxy = ScriptedServer()
+        try:
+            monkeypatch.setattr(generation, "_PROXIES", {"http": proxy.url})
+            monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+            stub_server.script = [{"status": 200, "body": self._completion()}]
+            prompt = build_prompt(Condition.PURE_LLM, MESSAGE, message_id="m1")
+            assert generate(client_config(stub_server.url), prompt).text
+        finally:
+            proxy.close()
+        assert [path for path, _, _ in stub_server.requests] == ["/chat/completions"]
+        assert proxy.requests == [] and proxy.connections == 0
 
     def test_no_key_variable_sends_no_authorization_header(self, stub_server):
         stub_server.script = [{"status": 200, "body": self._completion()}]
@@ -402,6 +427,126 @@ class TestRemoteClient:
         with pytest.raises(AuthError):
             list(generate_many(client_config(stub_server.url), prompts))
         assert len(stub_server.requests) <= 2 * MAX_IN_FLIGHT
+
+
+def _completion(path, body):
+    return {"choices": [{"message": {"content": "Because it pressures you."}}]}
+
+
+def _prompts(n):
+    return [build_prompt(Condition.PURE_LLM, MESSAGE, message_id=f"m{i}") for i in range(n)]
+
+
+class TestKeptConnections:
+    """Each worker of a batch keeps its connection for the batch."""
+
+    def test_a_batch_opens_at_most_one_connection_per_worker(self, keep_alive_server):
+        keep_alive_server.script = [{"status": 200, "body": _completion, "delay": 0.005}]
+        out = list(generate_many(client_config(keep_alive_server.url), _prompts(5 * MAX_IN_FLIGHT)))
+        assert [e.message_id for e in out] == [f"m{i}" for i in range(5 * MAX_IN_FLIGHT)]
+        assert 1 <= keep_alive_server.connections <= MAX_IN_FLIGHT
+
+    @pytest.mark.parametrize("ending", ["success", "auth_failure", "early_close"])
+    def test_every_connection_is_closed_when_the_batch_ends(self, keep_alive_server, ending):
+        answered = itertools.count(1)
+
+        def status(path):
+            return 401 if ending == "auth_failure" and next(answered) > 2 * MAX_IN_FLIGHT else 200
+
+        keep_alive_server.script = [{"status": status, "body": _completion, "delay": 0.005}]
+        # A socket dropped unclosed is closed by the collector, with a warning.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            stream = generate_many(client_config(keep_alive_server.url), _prompts(5 * MAX_IN_FLIGHT))
+            if ending == "auth_failure":
+                with pytest.raises(AuthError):
+                    list(stream)
+            elif ending == "early_close":
+                next(stream)
+                stream.close()
+            else:
+                list(stream)
+            del stream
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        keep_alive_server.wait_for_eofs()
+        assert keep_alive_server.connections >= 1
+        assert keep_alive_server.eofs == keep_alive_server.connections
+
+    def test_kept_connections_hold_under_frequent_thread_switches(self, keep_alive_server):
+        # More workers than cores, switching often: a lost update to the kept
+        # connections would open more than one per worker or leave one open.
+        keep_alive_server.script = [{"status": 200, "body": _completion}]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = list(
+                generate_many(client_config(keep_alive_server.url), _prompts(10 * MAX_IN_FLIGHT))
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(out) == 10 * MAX_IN_FLIGHT
+        keep_alive_server.wait_for_eofs()
+        assert keep_alive_server.eofs == keep_alive_server.connections <= MAX_IN_FLIGHT
+
+    def test_a_server_that_closes_every_connection_sees_the_opening_gate(self, stub_server):
+        stub_server.script = [{"status": 200, "body": _completion, "delay": 0.01}]
+        config = client_config(stub_server.url, max_retries=0)
+        out = list(generate_many(config, _prompts(5 * MAX_IN_FLIGHT)))
+        assert len(out) == 5 * MAX_IN_FLIGHT
+        assert stub_server.connections == 5 * MAX_IN_FLIGHT
+        assert stub_server.peak_in_flight["/chat/completions"] <= OPENING_GATE
+
+    def test_a_connection_dropped_while_idle_is_resent_at_once(self, keep_alive_server, monkeypatch):
+        # The server closes each connection after its answer without saying
+        # so; with no retries left, any resend that used an attempt would fail.
+        sleeps = []
+        monkeypatch.setattr(generation, "time", SimpleNamespace(sleep=sleeps.append))
+        keep_alive_server.script = [{"status": 200, "body": _completion, "close": True}]
+        config = client_config(keep_alive_server.url, max_retries=0)
+
+        def five_in_turn(config, _):
+            return [generate(config, prompt).message_id for prompt in _prompts(5)]
+
+        assert list(run_batch(five_in_turn, config, [None])) == [[f"m{i}" for i in range(5)]]
+        assert len(keep_alive_server.requests) == keep_alive_server.connections == 5
+        assert sleeps == []
+
+    def test_a_reused_connection_takes_the_endpoint_timeout(self, keep_alive_server):
+        keep_alive_server.script = [
+            {"status": 200, "body": _completion},
+            {"status": 200, "body": _completion, "delay": 0.6},
+        ]
+        patient = client_config(keep_alive_server.url, timeout=5.0)
+        hasty = client_config(keep_alive_server.url, timeout=0.15, max_retries=0)
+        [prompt] = _prompts(1)
+
+        def patient_then_hasty(config, _):
+            generate(patient, prompt)
+            started = time.perf_counter()
+            with pytest.raises(TransportTimeoutError):
+                generate(hasty, prompt)
+            return time.perf_counter() - started
+
+        [waited] = run_batch(patient_then_hasty, None, [None])
+        assert keep_alive_server.connections == 1
+        assert waited < 0.5
+
+    @pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="TCP_QUICKACK is Linux-only")
+    def test_a_kept_connection_does_not_wait_for_a_delayed_ack(self, keep_alive_server):
+        # The server writes headers and body apart with Nagle on, so a
+        # delayed ack of the headers would hold every body for 40 ms.
+        keep_alive_server.script = [{"status": 200, "body": _completion}]
+
+        def twenty_in_turn(config, _):
+            started = time.perf_counter()
+            for prompt in _prompts(20):
+                generate(config, prompt)
+            return time.perf_counter() - started
+
+        [elapsed] = run_batch(twenty_in_turn, client_config(keep_alive_server.url), [None])
+        assert keep_alive_server.connections == 1
+        assert elapsed < 0.4
 
 
 class TestRunBatch:
