@@ -25,15 +25,7 @@ from .detector import PAD_ID, DetectorModel, TokenizedInput, embed, grad_wrt_poo
 
 
 class AttributionError(Exception):
-    """Base class for attribution-stage failures."""
-
-
-class ZeroSamplesError(AttributionError, ValueError):
-    """The sample count must be at least one."""
-
-
-class AlignmentMismatchError(AttributionError):
-    """Piece scores and tokenizer alignment have different lengths."""
+    """An attribution-stage failure."""
 
 
 @dataclass(frozen=True)
@@ -45,7 +37,7 @@ class AttributionConfig:
 
     def __post_init__(self) -> None:
         if self.n_samples < 1:
-            raise ZeroSamplesError("n_samples must be >= 1")
+            raise ValueError("n_samples must be >= 1")
         if self.noise_std < 0:
             raise ValueError("noise_std must be non-negative")
         if self.k < 1:
@@ -146,7 +138,7 @@ def completeness_gap(
 def aggregate_to_words(scores: tuple[float, ...], tokenized: TokenizedInput) -> dict[int, float]:
     """Word position -> sum of its piece scores; conserves the total exactly."""
     if len(scores) != len(tokenized.alignment):
-        raise AlignmentMismatchError(
+        raise AttributionError(
             f"{len(scores)} piece scores vs alignment of {len(tokenized.alignment)}"
         )
     by_word: dict[int, float] = {}

@@ -50,23 +50,7 @@ ENGLISH_ASCII_MIN_FRACTION = 0.90
 
 
 class CorpusError(Exception):
-    """Base class for corpus-stage failures."""
-
-
-class MissingFieldError(CorpusError):
-    """A raw record lacks a required field (body or label)."""
-
-
-class InvalidLabelError(CorpusError):
-    """A raw record's label cannot be mapped to scam/ham."""
-
-
-class InsufficientDataError(CorpusError):
-    """A sampling stratum is smaller than the requested count."""
-
-
-class MissingPredictionError(CorpusError):
-    """The prediction map does not cover a message id."""
+    """A corpus-stage failure."""
 
 
 @dataclass(frozen=True)
@@ -169,7 +153,7 @@ def stratified_sample(message_set: MessageSet, per_channel_per_label: int, seed:
                 if m.channel is channel and m.label is label
             ]
             if len(stratum) < per_channel_per_label:
-                raise InsufficientDataError(
+                raise CorpusError(
                     f"{channel.value}/{label.value}: requested {per_channel_per_label}, "
                     f"have {len(stratum)}"
                 )
@@ -207,7 +191,7 @@ def filter_for_explanation(
     kept = []
     for message in message_set:
         if message.id not in predictions:
-            raise MissingPredictionError(f"no prediction for message {message.id!r}")
+            raise CorpusError(f"no prediction for message {message.id!r}")
         if message.label is not Label.SCAM or predictions[message.id] is not Label.SCAM:
             continue
         if not is_mostly_ascii_english(message.body):
@@ -356,16 +340,16 @@ def message_from_record(record: Mapping[str, Any]) -> Message:
     try:
         channel = Channel(raw_channel)
     except ValueError:
-        raise InvalidLabelError(f"unknown channel {raw_channel!r}") from None
+        raise CorpusError(f"unknown channel {raw_channel!r}") from None
     raw_label = record.get("label")
     if raw_label is None:
-        raise MissingFieldError("record missing label")
+        raise CorpusError("record missing label")
     label = LABEL_ALIASES.get(str(raw_label).strip().lower())
     if label is None:
-        raise InvalidLabelError(f"cannot map label {raw_label!r}")
+        raise CorpusError(f"cannot map label {raw_label!r}")
     body = record.get("body")
     if body is None or not str(body).strip():
-        raise MissingFieldError("record missing body")
+        raise CorpusError("record missing body")
     subject = record.get("subject") if channel is Channel.EMAIL else None
     return Message(
         id=str(record.get("id") or ""),

@@ -66,31 +66,7 @@ DEFAULT_PIECE_LIMIT = 512
 
 
 class DetectorError(Exception):
-    """Base class for detector-stage failures."""
-
-
-class CorpusEmptyError(DetectorError):
-    """Vocabulary cannot be built: empty corpus or max_size below minimum."""
-
-
-class IndexOutOfVocabError(DetectorError):
-    """A piece id exceeds the model's vocabulary size."""
-
-
-class NonFiniteWeightsError(DetectorError):
-    """Model weights contain NaN or infinity."""
-
-
-class SingleClassCorpusError(DetectorError):
-    """Training corpus contains only one label."""
-
-
-class LengthMismatchError(DetectorError):
-    """Metric inputs have different lengths or are empty."""
-
-
-class CheckpointFormatError(DetectorError):
-    """Checkpoint file carries the wrong format header or malformed fields."""
+    """A detector-stage failure."""
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +155,7 @@ def build_vocab(corpus: MessageSet, max_size: int) -> Vocab:
     corpus size, and only the kept pieces are decoded.
     """
     if len(corpus) == 0:
-        raise CorpusEmptyError("cannot build a vocabulary from an empty corpus")
+        raise DetectorError("cannot build a vocabulary from an empty corpus")
     words = Counter(itertools.chain.from_iterable(format_input(m).text.split() for m in corpus))
     lowered: dict[str, int] = {}
     for word, count in words.items():
@@ -193,7 +169,7 @@ def build_vocab(corpus: MessageSet, max_size: int) -> Vocab:
     alphabet, ranks = np.unique(codes, return_inverse=True)
     minimum = len(SPECIAL_PIECES) + len(alphabet)
     if max_size < minimum:
-        raise CorpusEmptyError(
+        raise DetectorError(
             f"max_size {max_size} below specials + alphabet ({minimum}); cannot cover the corpus"
         )
     lengths = np.fromiter(map(len, lowered), dtype=np.intp, count=len(lowered))
@@ -355,7 +331,7 @@ class DetectorModel:
         if d < 2 or h < 1:
             raise ValueError("embedding dim must be >= 2 and hidden dim >= 1")
         if not all(np.isfinite(getattr(self, name)).all() for name in (*expected, "out_b")):
-            raise NonFiniteWeightsError("model weights contain non-finite values")
+            raise DetectorError("model weights contain non-finite values")
 
     @property
     def dim(self) -> int:
@@ -393,7 +369,7 @@ def embed(model: DetectorModel, tokenized: TokenizedInput) -> np.ndarray:
     if ids.size == 0:
         raise ValueError("cannot embed an input with no pieces")
     if ids.max() >= len(model.vocab):
-        raise IndexOutOfVocabError(
+        raise DetectorError(
             f"piece id {int(ids.max())} out of range for vocabulary of {len(model.vocab)}"
         )
     return model.embedding[ids]
@@ -531,7 +507,7 @@ def train(corpus: MessageSet, config: TrainConfig) -> DetectorModel:
     """
     label_values = {m.label for m in corpus}
     if len(label_values) < 2:
-        raise SingleClassCorpusError("training corpus must contain both scam and ham messages")
+        raise DetectorError("training corpus must contain both scam and ham messages")
 
     rng = np.random.default_rng(config.seed)
     vocab = build_vocab(corpus, config.vocab_size)
@@ -654,7 +630,7 @@ def _logit_macro_f1(logits: np.ndarray, scam: np.ndarray) -> float:
 def macro_f1(predicted: Sequence[Label], actual: Sequence[Label]) -> float:
     """Unweighted mean of per-class F1 over scam and ham."""
     if len(predicted) != len(actual) or len(predicted) == 0:
-        raise LengthMismatchError(
+        raise DetectorError(
             f"predicted and actual must be equal-length and non-empty "
             f"({len(predicted)} vs {len(actual)})"
         )
@@ -695,10 +671,10 @@ def load_model(path: str | Path) -> DetectorModel:
         try:
             payload = json.load(handle)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointFormatError(f"{path}: checkpoint is not valid JSON ({exc})") from None
+            raise DetectorError(f"{path}: checkpoint is not valid JSON ({exc})") from None
     found = payload.get("format") if isinstance(payload, dict) else None
     if found != CHECKPOINT_FORMAT:
-        raise CheckpointFormatError(
+        raise DetectorError(
             f"{path}: expected checkpoint format {CHECKPOINT_FORMAT!r}, got {found!r}"
         )
     try:
@@ -716,7 +692,5 @@ def load_model(path: str | Path) -> DetectorModel:
             epochs_run=payload.get("epochs_run"),
         )
     except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise CheckpointFormatError(
-            f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})"
-        ) from None
+        raise DetectorError(f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from None
     return model

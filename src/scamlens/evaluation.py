@@ -44,27 +44,7 @@ CONDITION_LABELS: dict[Condition, str] = {
 
 
 class EvaluationError(Exception):
-    """Base class for evaluation-stage failures."""
-
-
-class EmptyEvidenceError(EvaluationError):
-    """Faithfulness is undefined for an empty evidence set."""
-
-
-class ProbabilitySumViolationError(EvaluationError):
-    """Entailment probabilities do not sum to one."""
-
-
-class EmptyTextError(EvaluationError):
-    """Readability metrics need at least one word and one sentence."""
-
-
-class NoLettersError(EvaluationError):
-    """Syllable counting needs at least one letter."""
-
-
-class EmptyGroupError(EvaluationError):
-    """There are no metric rows to aggregate."""
+    """An evaluation-stage failure."""
 
 
 @dataclass(frozen=True)
@@ -151,7 +131,7 @@ def faithfulness(evidence: EvidenceSet, explanation: Explanation) -> float:
     """
     reference = evidence_lemmas(evidence)
     if not reference:
-        raise EmptyEvidenceError(
+        raise EvaluationError(
             f"message {explanation.message_id!r}: evidence set is empty, cannot score"
         )
     found = explanation_lemmas(explanation.text)
@@ -174,12 +154,10 @@ class NliScores:
     def __post_init__(self) -> None:
         total = self.p_entailment + self.p_neutral + self.p_contradiction
         if abs(total - 1.0) > _PROBABILITY_SUM_TOLERANCE:
-            raise ProbabilitySumViolationError(
-                f"entailment probabilities sum to {total!r}, expected 1"
-            )
+            raise EvaluationError(f"entailment probabilities sum to {total!r}, expected 1")
         for p in (self.p_entailment, self.p_neutral, self.p_contradiction):
             if not (0.0 <= p <= 1.0):
-                raise ProbabilitySumViolationError(f"probability {p!r} outside [0, 1]")
+                raise EvaluationError(f"probability {p!r} outside [0, 1]")
 
 
 def score_nli(config: EndpointConfig, explanation: Explanation) -> NliScores:
@@ -251,10 +229,10 @@ def split_sentences(text: str) -> list[str]:
     terminator at all is a single sentence.
     """
     if not text.strip():
-        raise EmptyTextError("cannot split an empty text")
+        raise EvaluationError("cannot split an empty text")
     segments = [s for s in _SENTENCE_SPLIT.split(text) if _WORD_CHAR.search(s)]
     if not segments:
-        raise EmptyTextError("text contains no word characters")
+        raise EvaluationError("text contains no word characters")
     return segments
 
 
@@ -262,7 +240,7 @@ def count_syllables(word: str) -> int:
     """Vowel-run heuristic with a silent terminal 'e' adjustment, minimum 1."""
     lowered = word.lower()
     if not any(ch.isalpha() for ch in lowered):
-        raise NoLettersError(f"no letters in {word!r}")
+        raise EvaluationError(f"no letters in {word!r}")
     runs = len(_VOWEL_RUN.findall(lowered))
     if runs > 1 and lowered.endswith("e") and not lowered.endswith("le"):
         runs -= 1
@@ -297,7 +275,7 @@ def fkgl(text: str) -> ReadabilityBreakdown:
     counts = list(map(_word_syllables, text.split()))
     words = len(counts) - counts.count(0)
     if not words:
-        raise EmptyTextError("no countable words in text")
+        raise EvaluationError("no countable words in text")
     syllables = sum(counts)
     sc = words / len(sentences)
     ld = syllables / words
@@ -374,7 +352,7 @@ def aggregate_report(metrics: Sequence[MessageMetrics]) -> tuple[ConditionReport
     """Mean and sample std of each metric per condition with rows, in `Condition`
     order. Faithfulness is omitted for a condition without evidence."""
     if not metrics:
-        raise EmptyGroupError("no metric rows to aggregate")
+        raise EvaluationError("no metric rows to aggregate")
     rows = []
     for condition in Condition:
         group = [m for m in metrics if m.condition is condition]

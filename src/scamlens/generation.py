@@ -63,31 +63,11 @@ class GeneratorKind(Enum):
 
 
 class GenerationError(Exception):
-    """Base class for generation-stage failures."""
-
-
-class ConditionMismatchError(GenerationError):
-    """Evidence presence does not match the condition."""
+    """A generation-stage failure."""
 
 
 class TransportError(GenerationError):
-    """HTTP request failed after exhausting retries."""
-
-
-class AuthError(TransportError):
-    """Authentication failed (401/403) or no API key is configured."""
-
-
-class RateLimitedError(TransportError):
-    """HTTP 429 persisted after all retries."""
-
-
-class TransportTimeoutError(TransportError):
-    """The endpoint did not answer within the timeout, retries included."""
-
-
-class EmptyCompletionError(GenerationError):
-    """The endpoint answered with an empty completion."""
+    """A failed request of the shared request path, naming its URL."""
 
 
 @dataclass(frozen=True)
@@ -189,9 +169,9 @@ def build_prompt(
     never mutated or reformatted.
     """
     if condition.wants_evidence and evidence is None:
-        raise ConditionMismatchError(f"{condition.value} requires an evidence set")
+        raise GenerationError(f"{condition.value} requires an evidence set")
     if not condition.wants_evidence and evidence is not None:
-        raise ConditionMismatchError(f"{condition.value} must not receive evidence")
+        raise GenerationError(f"{condition.value} must not receive evidence")
 
     system_text = _SYSTEM_BASE + (_SYSTEM_EVIDENCE if evidence is not None else "")
     parts = [f"Message:\n{message.text}\n"]
@@ -249,7 +229,8 @@ _QUICKACK = getattr(socket, "TCP_QUICKACK", None)
 
 _CONNECTIONS = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
 
-# `batch` is the _Batch a run_batch pool worker serves; unset elsewhere.
+# `batch` is the _Batch a run_batch pool worker serves, and `index` the input
+# index of the call it runs; both unset elsewhere.
 _worker = threading.local()
 
 
@@ -260,12 +241,12 @@ _Result = TypeVar("_Result")
 def auth_headers(config: EndpointConfig) -> dict[str, str]:
     """The endpoint's one auth rule: a bearer token from the variable named by
     `api_key_env_var`, or no header when that is None. An unset or empty
-    variable raises AuthError naming the endpoint and the variable."""
+    variable raises TransportError naming the endpoint and the variable."""
     if config.api_key_env_var is None:
         return {}
     key = os.environ.get(config.api_key_env_var, "")
     if not key:
-        raise AuthError(
+        raise TransportError(
             f"{config.base_url}: environment variable {config.api_key_env_var} is not set"
         )
     return {"Authorization": f"Bearer {key}"}
@@ -314,16 +295,25 @@ class _Route:
 
 
 class _Batch:
-    """The connections of one run_batch. Each worker keeps one per origin,
-    under `kept[(thread id, scheme, netloc)]`, while it is idle; a worker
-    touches only its own keys. `gate` holds OPENING_GATE permits."""
+    """The connections and failures of one run_batch. Each worker keeps one
+    connection per origin, under `kept[(thread id, scheme, netloc)]`, while
+    it is idle; a worker touches only its own keys. `gate` holds
+    OPENING_GATE permits. `failed` lists the input indices of the calls that
+    have failed, and -1 once the batch ends."""
 
     def __init__(self) -> None:
         self.kept: dict[tuple[int, str, str], _Route] = {}
         self.gate = threading.Semaphore(OPENING_GATE)
+        self.failed: list[int] = []
 
     def serve(self) -> None:
         _worker.batch = self
+
+    def check(self, index: int) -> None:
+        """Stop the call at `index` if a call before it has failed: its result
+        is never read."""
+        if self.failed and min(self.failed) < index:
+            raise CancelledError("an earlier call of the batch failed")
 
     def close(self) -> None:
         """Close every kept connection; called once no worker runs."""
@@ -370,7 +360,8 @@ def _post(
     any, and keeps it again. One found closed or reset before it answers was
     dropped by the server while idle: the request goes out again at once on
     a new connection. A request on a new connection holds a permit of the
-    batch's gate until its answer is read."""
+    batch's gate until its answer is read; one that gets a permit after an
+    earlier call of the batch failed is not sent."""
     split = urlsplit(url)
     batch: _Batch | None = getattr(_worker, "batch", None)
     if batch is None:
@@ -384,6 +375,7 @@ def _post(
         if answer is not None:
             return answer
     with batch.gate:
+        batch.check(_worker.index)
         return _exchange(_Route.open(split, timeout), body, headers, keep)
 
 
@@ -397,9 +389,9 @@ def post_json_with_retry(
     Timeouts, connection errors, 429 and 5xx are retried with exponential
     backoff; a 429 or 503 whose Retry-After header gives delta-seconds waits
     that long instead (an HTTP-date keeps the backoff). Any other non-2xx
-    status raises at once, naming the status: auth failures (401/403) as
-    AuthError, the rest, redirects included, as TransportError; no redirect
-    is followed. Every failure is a TransportError that names the URL.
+    status raises at once, naming the status, redirects included; no
+    redirect is followed. Every failure is a TransportError that names the
+    URL.
     """
     url = config.base_url.rstrip("/") + path
     headers = {**auth_headers(config), "Content-Type": "application/json"}
@@ -412,7 +404,7 @@ def post_json_with_retry(
             status, answer_headers, raw = _post(url, data, headers, config.timeout)
         except (OSError, http.client.HTTPException) as exc:
             if isinstance(exc, TimeoutError):
-                last_failure = TransportTimeoutError(f"{url}: timed out after {config.timeout}s")
+                last_failure = TransportError(f"{url}: timed out after {config.timeout}s")
             else:
                 last_failure = TransportError(f"{url}: connection failed ({exc})")
             last_failure.__cause__ = exc
@@ -423,12 +415,12 @@ def post_json_with_retry(
                 except ValueError as exc:
                     raise TransportError(f"{url}: response body is not JSON ({exc})") from None
             if status in (401, 403):
-                raise AuthError(f"{url}: authentication rejected ({status})")
+                raise TransportError(f"{url}: authentication rejected ({status})")
             retry_after = answer_headers.get("Retry-After", "").strip()
             if status in (429, 503) and retry_after.isdecimal():
                 delay = int(retry_after)
             if status == 429:
-                last_failure = RateLimitedError(f"{url}: rate limited (429)")
+                last_failure = TransportError(f"{url}: rate limited (429)")
             elif status >= 500:
                 last_failure = TransportError(f"{url}: server error ({status})")
             else:
@@ -451,43 +443,40 @@ def run_batch(
     batch's own pool. Each worker of the pool keeps one connection per origin
     for the batch (see `_post`), and every one is closed when the batch ends.
     The first failure, of a call in any position or of `items`, stops the
-    batch: no further item is read, and no call that has not started sends
-    anything. The earliest failure in input order is raised once the running
-    calls finish, and `items` is then closed, which stops an upstream batch
-    the same way. Closing the stream early does the same without raising.
+    batch: no further item is read, and no later call that has not started,
+    or that waits at the opening gate (see `_post`), sends anything. The
+    earliest failure in input order is raised once the running calls
+    finish, and `items` is then closed, which stops an upstream batch the
+    same way. Closing the stream early does the same without raising.
     """
     source = iter(items)
     batch = _Batch()
     pool = ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT, initializer=batch.serve)
-    failed = threading.Event()
 
-    def note_failure(future: Future) -> None:
-        if not future.cancelled() and future.exception() is not None:
-            failed.set()
-
-    def guarded(item: _Item) -> _Result:
-        # The pool starts calls in input order, so a call that sees the flag
-        # comes after the failed one, and its result is never read.
-        if failed.is_set():
-            raise CancelledError("an earlier call of the batch failed")
-        return call(config, item)
+    def guarded(index: int, item: _Item) -> _Result:
+        batch.check(index)
+        _worker.index = index
+        try:
+            return call(config, item)
+        except BaseException:
+            batch.failed.append(index)
+            raise
 
     # Up to MAX_IN_FLIGHT calls wait queued behind the running ones, so a
     # worker that finishes starts the next call at once while the batch still
     # waits for an older, slower result (a retried one, say).
     pending: deque[Future] = deque()
     try:
-        for item in source:
-            future = pool.submit(guarded, item)
-            future.add_done_callback(note_failure)
-            pending.append(future)
+        for index, item in enumerate(source):
+            pending.append(pool.submit(guarded, index, item))
             if len(pending) == 2 * MAX_IN_FLIGHT:
                 yield pending.popleft().result()
-            if failed.is_set():
+            if batch.failed:
                 break
         while pending:
             yield pending.popleft().result()
     finally:
+        batch.failed.append(-1)  # no result is read any more: a waiting call sends nothing
         pool.shutdown(wait=True, cancel_futures=True)
         batch.close()
         close = getattr(source, "close", None)
@@ -512,7 +501,7 @@ def generate(config: LlmClientConfig, prompt: Prompt) -> Explanation:
     except (KeyError, IndexError, TypeError) as exc:
         raise TransportError(f"{url}: malformed completion response ({exc})") from None
     if not isinstance(text, str) or not text.strip():
-        raise EmptyCompletionError(f"{url}: endpoint returned an empty completion")
+        raise GenerationError(f"{url}: endpoint returned an empty completion")
     return Explanation(
         message_id=prompt.message_id,
         condition=prompt.condition,

@@ -3,12 +3,15 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import subprocess
+import sys
 from collections import Counter
 from datetime import datetime
 from pathlib import Path
 
 import pytest
 
+from conftest import subprocess_env
 from scamlens import cli, corpus, detector, evaluation, lexicon, persona
 from scamlens.attribution import AttributionConfig, EvidenceSet
 from scamlens.cli import ConfigError, interpolate_env, load_run_config, parse_conditions
@@ -1236,3 +1239,79 @@ class TestExplainOne:
         assert rc != 0
         err = capsys.readouterr().err
         assert "generate" in err
+
+
+def _artifact_bytes(run: Path) -> dict[str, bytes]:
+    """Every file of a run directory except `manifest.json`, which records
+    paths and times."""
+    return {p.name: p.read_bytes() for p in sorted(run.iterdir()) if p.name != "manifest.json"}
+
+
+class TestAimLedger:
+    """Clauses of the roadmap's aims that hold today, each pinned by a test
+    that names it."""
+
+    def test_aim2_stage_subcommands_and_pipeline_call_the_same_stage_functions(self, tmp_path):
+        config = write_config(tmp_path)
+        run = tmp_path / "run"
+        assert cli.main(["pipeline", "--config", str(config), "--mock", "--train", "--out", str(run)]) == 0
+        staged = tmp_path / "staged"
+        model = str(run / "model.json")
+        commands = [
+            ["predict", "--corpus", str(run / "corpus.jsonl"), "--model", model,
+             "--out", str(tmp_path / "predictions.jsonl")],
+            ["explain", "--config", str(config), "--mock", "--corpus", str(run / "subset.jsonl"),
+             "--model", model, "--out", str(staged)],
+            ["evaluate", "--config", str(config), "--mock", "--evidence", str(staged / "evidence.jsonl"),
+             "--explanations", str(staged / "explanations.jsonl"), "--out", str(staged / "metrics.jsonl")],
+            ["report", "--metrics", str(staged / "metrics.jsonl"), "--out", str(tmp_path / "report")],
+        ]
+        for command in commands:
+            assert cli.main(command) == 0, command[0]
+        produced = {
+            "predictions.jsonl": tmp_path / "predictions.jsonl",
+            "evidence.jsonl": staged / "evidence.jsonl",
+            "explanations.jsonl": staged / "explanations.jsonl",
+            "metrics.jsonl": staged / "metrics.jsonl",
+            "report.json": tmp_path / "report" / "report.json",
+            "report.txt": tmp_path / "report" / "report.txt",
+        }
+        digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in produced.items()}
+        assert digests == GOLDEN_DIGESTS
+
+    def test_aim3_outputs_are_a_pure_function_of_config_and_seeds_not_the_hash_seed(self, tmp_path):
+        # perfbench pins PYTHONHASHSEED to 0, so only a test can see an
+        # artifact that depends on set or dict-of-str iteration order.
+        config = write_config(tmp_path)
+        runs = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"hash-seed-{hash_seed}"
+            result = subprocess.run(
+                [sys.executable, "-m", "scamlens", "pipeline", "--config", str(config),
+                 "--mock", "--train", "--out", str(out)],
+                capture_output=True,
+                text=True,
+                env=subprocess_env(PYTHONHASHSEED=hash_seed),
+                timeout=300,
+            )
+            assert result.returncode == 0, result.stderr
+            runs.append(_artifact_bytes(out))
+        assert "model.json" in runs[0]
+        assert runs[0] == runs[1]
+
+    def test_aim3_outputs_are_a_pure_function_of_input_content_not_its_path(self, tmp_path):
+        golden = tmp_path / "golden"
+        config = write_config(tmp_path)
+        assert cli.main(["pipeline", "--config", str(config), "--mock", "--train", "--out", str(golden)]) == 0
+        content = (golden / "corpus.jsonl").read_bytes()
+        runs = []
+        for name in ("a/corpus.jsonl", "b/another name.jsonl"):
+            corpus_path = tmp_path / name
+            corpus_path.parent.mkdir()
+            corpus_path.write_bytes(content)
+            config = write_config(corpus_path.parent, corpus_path=str(corpus_path))
+            out = corpus_path.parent / "run"
+            assert cli.main(["pipeline", "--config", str(config), "--mock", "--train", "--out", str(out)]) == 0
+            runs.append(_artifact_bytes(out))
+        assert runs[0] == runs[1]
+        assert runs[0] == _artifact_bytes(golden)

@@ -21,19 +21,15 @@ from scamlens.attribution import EvidenceSet
 from scamlens.corpus import FormattedText
 from scamlens.evaluation import fkgl
 from scamlens.generation import (
-    AuthError,
     Condition,
-    ConditionMismatchError,
-    EmptyCompletionError,
     EVIDENCE_HEADER,
     Explanation,
+    GenerationError,
     GeneratorKind,
     LlmClientConfig,
     MAX_IN_FLIGHT,
     OPENING_GATE,
-    RateLimitedError,
     TransportError,
-    TransportTimeoutError,
     build_prompt,
     evidence_phrases_from_prompt,
     explanation_from_record,
@@ -91,11 +87,11 @@ class TestBuildPrompt:
         assert prompt.user_text.index("- urgent") < prompt.user_text.index("- click")
 
     def test_pure_llm_with_evidence_rejected(self):
-        with pytest.raises(ConditionMismatchError):
+        with pytest.raises(GenerationError, match="pure_llm must not receive evidence"):
             build_prompt(Condition.PURE_LLM, MESSAGE, EVIDENCE, message_id="m1")
 
     def test_evidence_condition_without_evidence_rejected(self):
-        with pytest.raises(ConditionMismatchError):
+        with pytest.raises(GenerationError, match="xai_high_vulnerability requires an evidence set"):
             build_prompt(Condition.XAI_HIGH_VULNERABILITY, MESSAGE, message_id="m1")
 
     def test_persona_block_present_only_for_persona_conditions(self):
@@ -238,7 +234,7 @@ class TestRemoteClient:
     def test_persistent_rate_limit_raises_after_retries(self, stub_server):
         stub_server.script = [{"status": 429, "body": {}}]
         prompt = build_prompt(Condition.PURE_LLM, MESSAGE, message_id="m1")
-        with pytest.raises(RateLimitedError):
+        with pytest.raises(TransportError, match=r"rate limited \(429\)"):
             generate(client_config(stub_server.url, max_retries=2), prompt)
         assert len(stub_server.requests) == 3
 
@@ -268,20 +264,20 @@ class TestRemoteClient:
     def test_auth_failure_is_not_retried(self, stub_server):
         stub_server.script = [{"status": 401, "body": {}}]
         prompt = build_prompt(Condition.PURE_LLM, MESSAGE, message_id="m1")
-        with pytest.raises(AuthError):
+        with pytest.raises(TransportError, match=r"authentication rejected \(401\)"):
             generate(client_config(stub_server.url), prompt)
         assert len(stub_server.requests) == 1
 
     def test_missing_api_key_raises_auth_error(self, stub_server, monkeypatch):
         monkeypatch.delenv("TEST_LLM_KEY")
         prompt = build_prompt(Condition.PURE_LLM, MESSAGE, message_id="m1")
-        with pytest.raises(AuthError):
+        with pytest.raises(TransportError, match="environment variable TEST_LLM_KEY is not set"):
             generate(client_config(stub_server.url), prompt)
 
     def test_empty_completion_raises(self, stub_server):
         stub_server.script = [{"status": 200, "body": self._completion("   ")}]
         prompt = build_prompt(Condition.PURE_LLM, MESSAGE, message_id="m1")
-        with pytest.raises(EmptyCompletionError):
+        with pytest.raises(GenerationError, match="endpoint returned an empty completion"):
             generate(client_config(stub_server.url), prompt)
 
     def test_server_errors_retried_then_raised(self, stub_server):
@@ -295,7 +291,7 @@ class TestRemoteClient:
         stub_server.script = [{"status": 200, "body": self._completion(), "delay": 0.6}]
         prompt = build_prompt(Condition.PURE_LLM, MESSAGE, message_id="m1")
         started = time.perf_counter()
-        with pytest.raises(TransportTimeoutError):
+        with pytest.raises(TransportError, match="timed out after 0.15s"):
             generate(client_config(stub_server.url, timeout=0.15, max_retries=1), prompt)
         assert time.perf_counter() - started < 3.0
 
@@ -424,7 +420,7 @@ class TestRemoteClient:
         prompts = [
             build_prompt(Condition.PURE_LLM, MESSAGE, message_id=f"m{i}") for i in range(40)
         ]
-        with pytest.raises(AuthError):
+        with pytest.raises(TransportError, match=r"authentication rejected \(401\)"):
             list(generate_many(client_config(stub_server.url), prompts))
         assert len(stub_server.requests) <= 2 * MAX_IN_FLIGHT
 
@@ -459,7 +455,7 @@ class TestKeptConnections:
             warnings.simplefilter("always", ResourceWarning)
             stream = generate_many(client_config(keep_alive_server.url), _prompts(5 * MAX_IN_FLIGHT))
             if ending == "auth_failure":
-                with pytest.raises(AuthError):
+                with pytest.raises(TransportError, match=r"authentication rejected \(401\)"):
                     list(stream)
             elif ending == "early_close":
                 next(stream)
@@ -497,6 +493,64 @@ class TestKeptConnections:
         assert stub_server.connections == 5 * MAX_IN_FLIGHT
         assert stub_server.peak_in_flight["/chat/completions"] <= OPENING_GATE
 
+    @pytest.mark.parametrize("server", ["stub_server", "keep_alive_server"])
+    def test_a_call_waiting_at_the_opening_gate_sends_nothing_after_a_failure(
+        self, server, request
+    ):
+        # Every worker starts at once and all but OPENING_GATE wait at the
+        # gate for new connections; once an earlier call fails, none sends,
+        # even when threads switch often.
+        server = request.getfixturevalue(server)
+        server.script = [{"status": 401, "body": {}, "delay": 0.05}]
+        config = client_config(server.url, max_retries=0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.raises(TransportError, match=r"authentication rejected \(401\)"):
+                list(generate_many(config, _prompts(40)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(server.requests) < MAX_IN_FLIGHT
+
+    def test_a_failure_behind_a_slow_earlier_call_stops_the_calls_at_the_gate(self, stub_server):
+        stub_server.script = [{"status": 401, "body": {}, "delay": 0.05}]
+        [prompt] = _prompts(1)
+
+        def call(config, item):
+            if item == 0:
+                time.sleep(0.3)  # sends nothing; the batch waits for this result
+                return "slow"
+            return generate(config, prompt)
+
+        stream = run_batch(call, client_config(stub_server.url, max_retries=0), range(40))
+        assert next(stream) == "slow"
+        with pytest.raises(TransportError, match=r"authentication rejected \(401\)"):
+            next(stream)
+        assert len(stub_server.requests) < MAX_IN_FLIGHT
+
+    def test_closing_the_stream_early_stops_the_calls_at_the_gate(self, stub_server):
+        stub_server.script = [{"status": 200, "body": _completion, "delay": 0.05}]
+        stream = generate_many(client_config(stub_server.url), _prompts(40))
+        assert next(stream).message_id == "m0"
+        stream.close()
+        assert len(stub_server.requests) < MAX_IN_FLIGHT
+
+    def test_a_later_failure_does_not_stop_an_earlier_call_at_the_gate(self, stub_server):
+        stub_server.script = [{"status": 200, "body": _completion}]
+        [prompt] = _prompts(1)
+
+        def call(config, item):
+            if item == 1:
+                raise RuntimeError("the later call failed first")
+            time.sleep(0.05)
+            return generate(config, prompt)
+
+        stream = run_batch(call, client_config(stub_server.url), [0, 1])
+        assert next(stream).message_id == "m0"
+        with pytest.raises(RuntimeError, match="the later call failed first"):
+            next(stream)
+        assert len(stub_server.requests) == 1
+
     def test_a_connection_dropped_while_idle_is_resent_at_once(self, keep_alive_server, monkeypatch):
         # The server closes each connection after its answer without saying
         # so; with no retries left, any resend that used an attempt would fail.
@@ -524,7 +578,7 @@ class TestKeptConnections:
         def patient_then_hasty(config, _):
             generate(patient, prompt)
             started = time.perf_counter()
-            with pytest.raises(TransportTimeoutError):
+            with pytest.raises(TransportError, match="timed out after 0.15s"):
                 generate(hasty, prompt)
             return time.perf_counter() - started
 
