@@ -320,18 +320,21 @@ def _explanation_subset(
 
 def _compute_evidence(
     config: RunConfig, model: detector.DetectorModel, messages: corpus.MessageSet
-) -> tuple[list[tuple[corpus.Message, attribution.EvidenceSet]], int]:
-    kept: list[tuple[corpus.Message, attribution.EvidenceSet]] = []
-    for message in messages:
-        tokenized = detector.tokenize(
-            corpus.format_input(message), model.vocab, model.piece_limit
-        )
-        scores = attribution.gradient_shap(model, tokenized, config.attribution)
-        by_word = attribution.aggregate_to_words(scores, tokenized)
-        evidence = attribution.filter_evidence(by_word, tokenized.words, config.attribution.k)
-        if evidence.phrases:
-            kept.append((message, evidence))
-    return kept, len(messages) - len(kept)
+) -> dict[str, attribution.EvidenceSet]:
+    """Evidence by message id in input order, computed as stage 'attribution';
+    a message whose evidence is empty is left out."""
+    evidence_by_id: dict[str, attribution.EvidenceSet] = {}
+    with _stage("attribution"):
+        for message in messages:
+            tokenized = detector.tokenize(
+                corpus.format_input(message), model.vocab, model.piece_limit
+            )
+            scores = attribution.gradient_shap(model, tokenized, config.attribution)
+            by_word = attribution.aggregate_to_words(scores, tokenized)
+            evidence = attribution.filter_evidence(by_word, tokenized.words, config.attribution.k)
+            if evidence.phrases:
+                evidence_by_id[message.id] = evidence
+    return evidence_by_id
 
 
 # explain-one's --persona values.
@@ -344,29 +347,32 @@ _PERSONA_CONDITIONS = {
 
 def _build_prompts(
     config: RunConfig,
-    with_evidence: Sequence[tuple[corpus.Message, attribution.EvidenceSet]],
+    messages: corpus.MessageSet,
+    evidence_by_id: Mapping[str, attribution.EvidenceSet],
 ) -> list[generation.Prompt]:
     return [
         generation.build_prompt(
             condition,
             corpus.format_input(message),
-            evidence if condition.wants_evidence else None,
+            evidence_by_id[message.id] if condition.wants_evidence else None,
             message_id=message.id,
         )
         for condition in config.conditions
-        for message, evidence in with_evidence
+        for message in messages
+        if message.id in evidence_by_id
     ]
 
 
 def _generate_all(
     config: RunConfig, prompts: Sequence[generation.Prompt]
 ) -> Iterable[generation.Explanation]:
-    """Explanations in prompt order: a list from the mock, and from a remote
-    endpoint a lazy stream whose failures name stage 'generate'. Scoring reads
-    the stream, so requests for later prompts overlap the scoring of earlier
-    explanations."""
+    """Explanations in prompt order, made as stage 'generate': a list from the
+    mock, and from a remote endpoint a lazy stream whose failures name that
+    stage. Scoring reads the stream, so requests for later prompts overlap
+    the scoring of earlier explanations."""
     if config.mock_llm:
-        return [generation.mock_generate(p) for p in prompts]
+        with _stage("generate"):
+            return [generation.mock_generate(p) for p in prompts]
     return _staged("generate", generation.generate_many(config.llm, prompts))
 
 
@@ -382,23 +388,19 @@ def _predict(
 
 def _explain(
     config: RunConfig, model: detector.DetectorModel, messages: corpus.MessageSet, out: Path
-) -> tuple[dict[str, attribution.EvidenceSet], int, Iterable[generation.Explanation]]:
-    """Returns evidence by message id, the empty-evidence count and the
+) -> tuple[dict[str, attribution.EvidenceSet], Iterable[generation.Explanation]]:
+    """Returns evidence by message id (see `_compute_evidence`) and the
     explanations, which a remote generator yields as a lazy stream (see
     `_generate_all`)."""
-    with _stage("attribution"):
-        with_evidence, dropped = _compute_evidence(config, model, messages)
-    if not with_evidence:
+    evidence_by_id = _compute_evidence(config, model, messages)
+    if not evidence_by_id:
         raise ConfigError("every message to explain produced an empty evidence set")
-    corpus.write_jsonl(
-        out / "evidence.jsonl",
-        (attribution.evidence_to_record(m.id, e, config.attribution.seed) for m, e in with_evidence),
-    )
+    seed = config.attribution.seed
+    records = (attribution.evidence_to_record(mid, e, seed) for mid, e in evidence_by_id.items())
+    corpus.write_jsonl(out / "evidence.jsonl", records)
     with _stage("prompts"):
-        prompts = _build_prompts(config, with_evidence)
-    with _stage("generate"):
-        explanations = _generate_all(config, prompts)
-    return {message.id: evidence for message, evidence in with_evidence}, dropped, explanations
+        prompts = _build_prompts(config, messages, evidence_by_id)
+    return evidence_by_id, _generate_all(config, prompts)
 
 
 def _write_explanations(explanations: Iterable[generation.Explanation], out: Path) -> None:
@@ -487,7 +489,7 @@ def run_pipeline(config: RunConfig, allow_train: bool) -> Path:
 
     # Scoring reads the generated explanations as they arrive; they are
     # written once every one of them has been scored.
-    evidence_by_id, dropped, generated = _explain(config, model, subset, out)
+    evidence_by_id, generated = _explain(config, model, subset, out)
     explanations, metrics = _evaluate(config, generated, evidence_by_id, out / "metrics.jsonl")
     _write_explanations(explanations, out)
     _report(metrics, out)
@@ -500,7 +502,7 @@ def run_pipeline(config: RunConfig, allow_train: bool) -> Path:
         "nli": "mock" if config.mock_nli else "remote",
         "seeds": {
             "synth": config.synth_seed,
-            "train": config.train.get("seed", detector.TrainConfig().seed),
+            "train": model.seed,
             "sample": config.sample_seed,
             "attribution": config.attribution.seed,
         },
@@ -509,7 +511,7 @@ def run_pipeline(config: RunConfig, allow_train: bool) -> Path:
         "stopwords_version": lexicon.STOPWORDS_VERSION,
         "phrase_bank_version": persona.PHRASE_BANK_VERSION,
         "model_path": str(model_path),
-        "empty_evidence_dropped": dropped,
+        "empty_evidence_dropped": len(subset) - len(evidence_by_id),
         "artifacts": [
             "corpus.jsonl",
             "predictions.jsonl",
@@ -590,18 +592,15 @@ def _cmd_explain_one(args: argparse.Namespace) -> int:
         f"prediction: {prediction.predicted_label.value} "
         f"(p_scam={prediction.scam_probability:.4f}, logit={prediction.logit:+.4f})"
     )
-    with _stage("attribution"):
-        with_evidence, _ = _compute_evidence(config, model, single)
+    evidence_by_id = _compute_evidence(config, model, single)
     print("evidence:")
-    for _, evidence in with_evidence:
+    for evidence in evidence_by_id.values():
         for word, score in evidence.phrases:
             print(f"  {score:+.5f}  {word}")
-    if not with_evidence:
+    if not evidence_by_id:
         print("  (empty)")
         return 1
-    prompts = _build_prompts(config, with_evidence)
-    with _stage("generate"):
-        (explanation,) = _generate_all(config, prompts)
+    (explanation,) = _generate_all(config, _build_prompts(config, single, evidence_by_id))
     print(f"condition: {explanation.condition.value}")
     print(f"explanation ({explanation.generator.value}):")
     print(explanation.text)
@@ -614,8 +613,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     out = _resolve_out_dir(config.out_dir)
     messages = corpus.load_jsonl(args.corpus)
     model = detector.load_model(args.model)
-    evidence_by_id, dropped, generated = _explain(config, model, messages, out)
+    evidence_by_id, generated = _explain(config, model, messages, out)
     _write_explanations(list(generated), out)
+    dropped = len(messages) - len(evidence_by_id)
     print(f"explained {len(evidence_by_id)} messages ({dropped} dropped for empty evidence)")
     return 0
 

@@ -76,6 +76,7 @@ class Prompt:
     user_text: str
     condition: Condition
     message_id: str
+    evidence: EvidenceSet | None
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,7 @@ def build_prompt(
     """Deterministic template fill for one condition.
 
     Evidence phrases are listed verbatim and in order; the evidence set is
-    never mutated or reformatted.
+    never mutated or reformatted, and the prompt carries it.
     """
     if condition.wants_evidence and evidence is None:
         raise GenerationError(f"{condition.value} requires an evidence set")
@@ -186,24 +187,8 @@ def build_prompt(
         user_text="\n".join(parts),
         condition=condition,
         message_id=message_id,
+        evidence=evidence,
     )
-
-
-def evidence_phrases_from_prompt(prompt: Prompt) -> list[str]:
-    """Recover the verbatim evidence list from a built prompt, if present.
-
-    The list is the block under the last header line: the message text comes
-    before the real block, so a header inside the message is not read."""
-    phrases: list[str] = []
-    in_block = False
-    for line in prompt.user_text.splitlines():
-        if line == EVIDENCE_HEADER:
-            phrases, in_block = [], True
-        elif in_block and line.startswith("- "):
-            phrases.append(line[2:])
-        else:
-            in_block = False
-    return phrases
 
 
 # ---------------------------------------------------------------------------
@@ -556,14 +541,14 @@ _BLIND = (
 def mock_generate(prompt: Prompt) -> Explanation:
     """Deterministic test double for the remote generator.
 
-    A condition without evidence gets a fixed generic warning that shares no
-    content with the evidence. Every other condition echoes each evidence
-    phrase from the prompt verbatim, in the sentence shape of its persona.
+    A prompt without evidence gets a fixed generic warning that shares no
+    content with the evidence. Every other prompt echoes each phrase of the
+    evidence it carries verbatim, in the sentence shape of its persona.
     """
-    if not prompt.condition.wants_evidence:
+    if prompt.evidence is None:
         text = _BLIND
     else:
-        phrases = evidence_phrases_from_prompt(prompt)
+        phrases = prompt.evidence.words()
         cues = " , ".join(phrases) if phrases else "the overall wording"
         text = _ECHO[prompt.condition.persona].format(cues=cues)
     return Explanation(

@@ -121,7 +121,10 @@ class ScriptedServer:
     callable(path) -> int), body (dict or callable(path, request_body) ->
     dict), raw (bytes sent as the body in place of `body`), headers (extra
     response headers), delay (seconds), close (True: close the connection
-    after the answer without saying so, as a server drops an idle one).
+    after the answer without saying so, as a server drops an idle one),
+    hold ({path: n}: a request of that path, on a connection that has already
+    carried an answer, waits until n requests of its path have been open at
+    once; after the first wait that times out, at HOLD_TIMEOUT, none waits).
     The last entry repeats once the script is exhausted. Every request is
     recorded as (path, headers, parsed body). `events` lists ("request", path)
     when a request arrives and ("answer", path) just before its answer is
@@ -136,6 +139,8 @@ class ScriptedServer:
     `eofs` those the client closed.
     """
 
+    HOLD_TIMEOUT = 2.0
+
     def __init__(self, protocol_version: str = "HTTP/1.0") -> None:
         self.connections = 0
         self.eofs = 0
@@ -145,12 +150,17 @@ class ScriptedServer:
         self.peak_in_flight: Counter[str] = Counter()
         self._in_flight: Counter[str] = Counter()
         self._lock = threading.Lock()
+        self._opened = threading.Condition(self._lock)
+        self._holding = True
         self._cursor = 0
 
         server = self
 
         class Handler(BaseHTTPRequestHandler):
             def handle(self) -> None:
+                # A connection's first request is not held: the client may
+                # hold a permit of its opening gate until that one's answer.
+                self.answered = False
                 with server._lock:
                     server.connections += 1
                 super().handle()
@@ -177,6 +187,12 @@ class ScriptedServer:
                     server.peak_in_flight[self.path] = max(
                         server.peak_in_flight[self.path], server._in_flight[self.path]
                     )
+                    server._opened.notify_all()
+                    hold = entry.get("hold", {}).get(self.path)
+                    if hold and self.answered and server._holding:
+                        server._holding = server._opened.wait_for(
+                            lambda: server.peak_in_flight[self.path] >= hold, server.HOLD_TIMEOUT
+                        )
                 if entry.get("delay"):
                     time.sleep(entry["delay"])
                 status = entry.get("status", 200)
@@ -199,6 +215,7 @@ class ScriptedServer:
                     self.wfile.write(data)
                 except (BrokenPipeError, ConnectionResetError):
                     pass
+                self.answered = True
                 if entry.get("close"):
                     self.close_connection = True
 

@@ -342,7 +342,8 @@ class TestBuildPrompts:
     EVIDENCE = EvidenceSet(phrases=(("Verify", 0.5), ("bit.ly/k2j3m", 0.4), ("locked.", 0.1)), k=8)
 
     def test_every_prompt_byte_is_pinned(self):
-        prompts = cli._build_prompts(cli.RunConfig(), [(self.MESSAGE, self.EVIDENCE)])
+        messages = corpus.MessageSet((self.MESSAGE,))
+        prompts = cli._build_prompts(cli.RunConfig(), messages, {self.MESSAGE.id: self.EVIDENCE})
         digests = {
             p.condition.value: hashlib.sha256(
                 json.dumps([p.system_text, p.user_text]).encode("utf-8")
@@ -504,6 +505,15 @@ class TestPipelineCommand:
         assert manifest["stopwords_version"] == lexicon.STOPWORDS_VERSION
         assert manifest["phrase_bank_version"] == persona.PHRASE_BANK_VERSION
 
+    def test_manifest_train_seed_is_the_loaded_models(self, tmp_path, small_corpus):
+        model_path = tmp_path / "model.json"
+        detector.save_model(detector.train(small_corpus, detector.TrainConfig(seed=3)), model_path)
+        config = write_config(tmp_path, model_path=str(model_path))
+        out = tmp_path / "run"
+        assert cli.main(["pipeline", "--config", str(config), "--mock", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seeds"]["train"] == 3
+
     def test_remote_pipeline_against_stub_endpoints(self, tmp_path, stub_server, monkeypatch):
         monkeypatch.setenv("STUB_LLM_KEY", "k1")
         monkeypatch.setenv("STUB_NLI_KEY", "k2")
@@ -659,11 +669,11 @@ class TestRemoteOverlap:
     serves both endpoints and tells them apart by path."""
 
     @staticmethod
-    def _run(tmp_path, frozen_model, stub_server, monkeypatch, status=200):
+    def _run(tmp_path, frozen_model, stub_server, monkeypatch, status=200, hold=None):
         monkeypatch.setenv("STUB_LLM_KEY", "k1")
         model_path = tmp_path / "model.json"
         detector.save_model(frozen_model, model_path)
-        stub_server.script = [{"status": status, "body": _stub_answer, "delay": 0.01}]
+        stub_server.script = [{"status": status, "body": _stub_answer, "delay": 0.01, "hold": hold or {}}]
         endpoint = {"base_url": stub_server.url, "max_retries": 0, "timeout": 10}
         config = write_config(
             tmp_path,
@@ -681,7 +691,10 @@ class TestRemoteOverlap:
     def test_scoring_starts_before_generation_ends_and_keeps_input_order(
         self, tmp_path, frozen_model, keep_alive_server, monkeypatch
     ):
-        rc, out = self._run(tmp_path, frozen_model, keep_alive_server, monkeypatch)
+        # Chat requests wait until MAX_IN_FLIGHT are open, so a worker that is
+        # between two requests when the others overlap cannot hide the peak.
+        hold = {"/chat/completions": MAX_IN_FLIGHT}
+        rc, out = self._run(tmp_path, frozen_model, keep_alive_server, monkeypatch, hold=hold)
         assert rc == 0
         assert keep_alive_server.peak_in_flight["/chat/completions"] == MAX_IN_FLIGHT
         assert keep_alive_server.peak_in_flight["/nli"] <= MAX_IN_FLIGHT
@@ -849,13 +862,15 @@ class TestStageCommands:
             assert flag not in usage
 
     def test_explain_command_writes_evidence_and_explanations(
-        self, tmp_path, frozen_model, small_corpus
+        self, tmp_path, frozen_model, small_corpus, capsys
     ):
-        scams = corpus.MessageSet(
-            tuple(m for m in small_corpus if m.label is corpus.Label.SCAM)[:4]
+        scams = tuple(m for m in small_corpus if m.label is corpus.Label.SCAM)[:4]
+        # Only stopwords: no evidence, so no prompt, and one drop.
+        bare = corpus.Message(
+            id="m-bare", channel=corpus.Channel.SMS, body="the and of to", label=corpus.Label.SCAM
         )
         corpus_path = tmp_path / "scams.jsonl"
-        corpus.save_jsonl(scams, corpus_path)
+        corpus.save_jsonl(corpus.MessageSet((scams[0], bare, *scams[1:])), corpus_path)
         model_path = tmp_path / "model.json"
         detector.save_model(frozen_model, model_path)
         out = tmp_path / "explained"
@@ -878,9 +893,10 @@ class TestStageCommands:
         explanation_rows = [
             json.loads(l) for l in (out / "explanations.jsonl").read_text().splitlines()
         ]
-        assert {r["id"] for r in evidence_rows} == {m.id for m in scams}
+        assert [r["id"] for r in evidence_rows] == [m.id for m in scams]
+        assert [r["message_id"] for r in explanation_rows] == [m.id for m in scams]
         assert all(r["condition"] == "xai_only" for r in explanation_rows)
-        assert len(explanation_rows) == len(evidence_rows)
+        assert capsys.readouterr().out == "explained 4 messages (1 dropped for empty evidence)\n"
 
     def test_evaluate_and_report_commands(self, tmp_path):
         evidence_path = tmp_path / "evidence.jsonl"
