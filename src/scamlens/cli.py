@@ -19,6 +19,7 @@ import math
 import os
 import random
 import re
+import shutil
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -237,25 +238,37 @@ def _write_json(path: Path, payload: Mapping[str, Any]) -> None:
         handle.write("\n")
 
 
-def _resolve_out_dir(out_dir: str | None) -> Path:
-    # Artifacts are immutable: a fresh directory per run. Without an explicit
-    # --out, runs land under ./runs with a UTC timestamp, suffixed -1, -2, ...
-    # when that directory exists. Creating it is the check, so two runs never
-    # share one, even when they start in the same second.
-    if out_dir:
-        out = Path(out_dir)
-        if out.exists() and any(out.iterdir()):
-            raise ConfigError(f"output directory {out} already exists and is not empty")
-        out.mkdir(parents=True, exist_ok=True)
-        return out
-    stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
-    for n in itertools.count():
-        out = Path("runs") / (f"{stamp}-{n}" if n else stamp)
+@contextlib.contextmanager
+def _run_dir(out_dir: str | None) -> Iterator[tuple[Path, Path]]:
+    """Yields (`<out>.partial`, `out`): the first is claimed by an exclusive mkdir
+    before `out` is checked, so two runs never share a directory, and is renamed
+    to `out` when the block succeeds or removed when it raises. `out` defaults to
+    ./runs/<UTC stamp>, suffixed -1, -2, ... while the name is taken."""
+    if not out_dir:
+        stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
+        names: Iterable[Path] = (Path("runs") / (f"{stamp}-{n}" if n else stamp) for n in itertools.count())
+    elif Path(out_dir).name in ("", ".."):
+        raise ConfigError(f"output directory {out_dir!r} has no name of its own")
+    else:
+        names = [Path(out_dir)]
+    for out in names:
+        partial = out.with_name(out.name + ".partial")
         try:
-            out.mkdir(parents=True)
+            partial.mkdir(parents=True)
         except FileExistsError:
+            refusal = f"{partial} exists: another run is writing it, or a killed run left it and it can be deleted"
             continue
-        return out
+        try:
+            if not (out.exists() and any(out.iterdir())):
+                yield partial, out
+                partial.rename(out)
+                return
+        except BaseException:
+            shutil.rmtree(partial)
+            raise
+        partial.rmdir()
+        refusal = f"output directory {out} already exists and is not empty"
+    raise ConfigError(refusal)
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +416,6 @@ def _explain(
     return evidence_by_id, _generate_all(config, prompts)
 
 
-def _write_explanations(explanations: Iterable[generation.Explanation], out: Path) -> None:
-    corpus.write_jsonl(out / "explanations.jsonl", map(generation.explanation_to_record, explanations))
-
-
 def _evaluate(
     config: RunConfig,
     explanations: Iterable[generation.Explanation],
@@ -457,74 +466,63 @@ def run_pipeline(config: RunConfig, allow_train: bool) -> Path:
         raise ConfigError(
             f"model_path {config.model_path!r} names no checkpoint; pass --train to fit one"
         )
-    out = _resolve_out_dir(config.out_dir)
+    with _run_dir(config.out_dir) as (run, out):
+        with _stage("corpus"):
+            if config.corpus_path:
+                messages = corpus.load_jsonl(config.corpus_path)
+            else:
+                messages = corpus.synth_corpus(config.synth_seed, config.synth_per_stratum)
+        corpus.save_jsonl(messages, run / "corpus.jsonl")
 
-    with _stage("corpus"):
-        if config.corpus_path:
-            messages = corpus.load_jsonl(config.corpus_path)
-        else:
-            messages = corpus.synth_corpus(config.synth_seed, config.synth_per_stratum)
-    corpus.save_jsonl(messages, out / "corpus.jsonl")
+        model_path = Path(config.model_path or run / "model.json")
+        with _stage("model"):
+            if model_path.exists():
+                model = detector.load_model(model_path)
+            else:
+                model = detector.train(messages, detector.TrainConfig(**config.train))
+                detector.save_model(model, model_path)
 
-    model_path = Path(config.model_path) if config.model_path else out / "model.json"
-    with _stage("model"):
-        if model_path.exists():
-            model = detector.load_model(model_path)
-        else:
-            model = detector.train(messages, detector.TrainConfig(**config.train))
-            detector.save_model(model, model_path)
+        predictions = _predict(model, messages, run / "predictions.jsonl")
 
-    predictions = _predict(model, messages, out / "predictions.jsonl")
+        predicted_labels = {mid: p.predicted_label for mid, p in predictions.items()}
+        with _stage("filter"):
+            filtered = corpus.filter_for_explanation(messages, predicted_labels)
+        if len(filtered) == 0:
+            raise ConfigError("no messages survived the explanation filter")
+        corpus.save_jsonl(filtered, run / "filtered.jsonl")
 
-    predicted_labels = {mid: p.predicted_label for mid, p in predictions.items()}
-    with _stage("filter"):
-        filtered = corpus.filter_for_explanation(messages, predicted_labels)
-    if len(filtered) == 0:
-        raise ConfigError("no messages survived the explanation filter")
-    corpus.save_jsonl(filtered, out / "filtered.jsonl")
+        with _stage("subset"):
+            subset = _explanation_subset(config, filtered)
+        corpus.save_jsonl(subset, run / "subset.jsonl")
 
-    with _stage("subset"):
-        subset = _explanation_subset(config, filtered)
-    corpus.save_jsonl(subset, out / "subset.jsonl")
+        # Scoring reads the generated explanations as they arrive; they are
+        # written once every one of them has been scored.
+        evidence_by_id, generated = _explain(config, model, subset, run)
+        explanations, metrics = _evaluate(config, generated, evidence_by_id, run / "metrics.jsonl")
+        corpus.write_jsonl(run / "explanations.jsonl", map(generation.explanation_to_record, explanations))
+        _report(metrics, run)
 
-    # Scoring reads the generated explanations as they arrive; they are
-    # written once every one of them has been scored.
-    evidence_by_id, generated = _explain(config, model, subset, out)
-    explanations, metrics = _evaluate(config, generated, evidence_by_id, out / "metrics.jsonl")
-    _write_explanations(explanations, out)
-    _report(metrics, out)
-
-    manifest = {
-        "package_version": __version__,
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-        "config_sha256": config.config_sha256,
-        "generator": "mock" if config.mock_llm else "remote",
-        "nli": "mock" if config.mock_nli else "remote",
-        "seeds": {
-            "synth": config.synth_seed,
-            "train": model.seed,
-            "sample": config.sample_seed,
-            "attribution": config.attribution.seed,
-        },
-        "sample_fraction": config.sample_fraction,
-        "conditions": [c.value for c in config.conditions],
-        "stopwords_version": lexicon.STOPWORDS_VERSION,
-        "phrase_bank_version": persona.PHRASE_BANK_VERSION,
-        "model_path": str(model_path),
-        "empty_evidence_dropped": len(subset) - len(evidence_by_id),
-        "artifacts": [
-            "corpus.jsonl",
-            "predictions.jsonl",
-            "filtered.jsonl",
-            "subset.jsonl",
-            "evidence.jsonl",
-            "explanations.jsonl",
-            "metrics.jsonl",
-            "report.json",
-            "report.txt",
-        ],
-    }
-    _write_json(out / "manifest.json", manifest)
+        manifest = {
+            "package_version": __version__,
+            "created_utc": datetime.now(timezone.utc).isoformat(),
+            "config_sha256": config.config_sha256,
+            "generator": "mock" if config.mock_llm else "remote",
+            "nli": "mock" if config.mock_nli else "remote",
+            "seeds": {
+                "synth": config.synth_seed,
+                "train": model.seed,
+                "sample": config.sample_seed,
+                "attribution": config.attribution.seed,
+            },
+            "sample_fraction": config.sample_fraction,
+            "conditions": [c.value for c in config.conditions],
+            "stopwords_version": lexicon.STOPWORDS_VERSION,
+            "phrase_bank_version": persona.PHRASE_BANK_VERSION,
+            "model_path": str(Path(config.model_path or out / "model.json")),
+            "empty_evidence_dropped": len(subset) - len(evidence_by_id),
+            "artifacts": sorted(p.name for p in run.iterdir()),
+        }
+        _write_json(run / "manifest.json", manifest)
     return out
 
 
@@ -592,6 +590,10 @@ def _cmd_explain_one(args: argparse.Namespace) -> int:
         f"prediction: {prediction.predicted_label.value} "
         f"(p_scam={prediction.scam_probability:.4f}, logit={prediction.logit:+.4f})"
     )
+    single = corpus.filter_for_explanation(single, {message.id: prediction.predicted_label})
+    if len(single) == 0:
+        print("not explained: like pipeline, explain-one explains only English messages predicted scam")
+        return 1
     evidence_by_id = _compute_evidence(config, model, single)
     print("evidence:")
     for evidence in evidence_by_id.values():
@@ -610,11 +612,11 @@ def _cmd_explain_one(args: argparse.Namespace) -> int:
 def _cmd_explain(args: argparse.Namespace) -> int:
     config = apply_overrides(load_run_config(args.config), args)
     _check_endpoint(config.mock_llm, config.llm, _GENERATOR_MISSING)
-    out = _resolve_out_dir(config.out_dir)
     messages = corpus.load_jsonl(args.corpus)
     model = detector.load_model(args.model)
-    evidence_by_id, generated = _explain(config, model, messages, out)
-    _write_explanations(list(generated), out)
+    with _run_dir(config.out_dir) as (run, _):
+        evidence_by_id, generated = _explain(config, model, messages, run)
+        corpus.write_jsonl(run / "explanations.jsonl", map(generation.explanation_to_record, generated))
     dropped = len(messages) - len(evidence_by_id)
     print(f"explained {len(evidence_by_id)} messages ({dropped} dropped for empty evidence)")
     return 0
@@ -637,7 +639,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     metrics = corpus.read_jsonl(args.metrics, evaluation.metrics_from_record)
     if not metrics:
         raise corpus.CorpusError(f"{args.metrics} holds no metric records")
-    print(_report(metrics, _resolve_out_dir(args.out)), end="")
+    with _run_dir(args.out) as (run, _):
+        print(_report(metrics, run), end="")
     return 0
 
 

@@ -658,6 +658,114 @@ class TestPipelineCommand:
         assert info.value.__cause__ is boom
 
 
+class TestRunDirectory:
+    """`pipeline`, `explain` and `report` write into `<out>.partial` and rename
+    it to `<out>` when they succeed."""
+
+    @staticmethod
+    def _argv(tmp_path, frozen_model, command):
+        """`command`'s arguments, all but --out."""
+        model_path = tmp_path / "model.json"
+        detector.save_model(frozen_model, model_path)
+        if command == "pipeline":
+            config = write_config(tmp_path, model_path=str(model_path))
+            return ["pipeline", "--config", str(config), "--mock"]
+        if command == "explain":
+            corpus_path = tmp_path / "messages.jsonl"
+            corpus.save_jsonl(corpus.synth_corpus(seed=7, per_channel_per_label=2), corpus_path)
+            return ["explain", "--corpus", str(corpus_path), "--model", str(model_path), "--mock"]
+        metrics_path = tmp_path / "metrics.jsonl"
+        row = {"message_id": "m1", "condition": "xai_only", "faithfulness": 1.0, "correctness": 0.5, "fkgl": 3.0}
+        metrics_path.write_text(json.dumps(row) + "\n")
+        return ["report", "--metrics", str(metrics_path)]
+
+    @pytest.mark.parametrize("command", ["pipeline", "explain", "report"])
+    def test_an_existing_partial_directory_is_refused_and_left_alone(
+        self, tmp_path, frozen_model, capsys, command
+    ):
+        out = tmp_path / "run"
+        partial = tmp_path / "run.partial"
+        partial.mkdir()
+        (partial / "corpus.jsonl").write_text("{}\n")
+        rc = cli.main([*self._argv(tmp_path, frozen_model, command), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {partial} exists: another run is writing it,"
+            " or a killed run left it and it can be deleted\n"
+        )
+        assert [p.name for p in partial.iterdir()] == ["corpus.jsonl"]
+        assert (partial / "corpus.jsonl").read_text() == "{}\n"
+        assert not out.exists()
+
+    def test_a_second_claim_of_one_out_is_refused_until_the_first_is_published(self, tmp_path):
+        out = tmp_path / "same"
+        with cli._run_dir(str(out)) as (run, published):
+            assert (run, published) == (tmp_path / "same.partial", out)
+            (run / "report.txt").write_text("x")
+            with pytest.raises(ConfigError, match="same.partial exists: another run is writing it"):
+                with cli._run_dir(str(out)):
+                    pass
+        assert [p.name for p in out.iterdir()] == ["report.txt"]
+        with pytest.raises(ConfigError, match="already exists and is not empty"):
+            with cli._run_dir(str(out)):
+                pass
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["same"]
+
+    def test_an_interrupted_run_leaves_no_directory(self, tmp_path, frozen_model, monkeypatch):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("scamlens.evaluation.fkgl", interrupt)
+        out = tmp_path / "run"
+        with pytest.raises(KeyboardInterrupt):
+            cli.main([*self._argv(tmp_path, frozen_model, "pipeline"), "--out", str(out)])
+        assert not out.exists() and not (tmp_path / "run.partial").exists()
+
+    def test_an_existing_empty_out_gets_a_full_run(self, tmp_path, frozen_model):
+        out = tmp_path / "run"
+        out.mkdir()
+        assert cli.main([*self._argv(tmp_path, frozen_model, "pipeline"), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)
+        assert not (tmp_path / "run.partial").exists()
+
+    def test_the_manifest_lists_the_published_directory(self, tmp_path):
+        config = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert cli.main(["pipeline", "--config", str(config), "--mock", "--train", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["artifacts"] == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert "model.json" in manifest["artifacts"]
+        assert manifest["model_path"] == str(out / "model.json")
+        assert Path(manifest["model_path"]).is_file()
+
+    @pytest.mark.parametrize("name", [".", "..", "/"])
+    def test_an_out_without_a_name_of_its_own_is_refused(
+        self, tmp_path, frozen_model, capsys, monkeypatch, name
+    ):
+        argv = [*self._argv(tmp_path, frozen_model, "pipeline"), "--out", name]
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        monkeypatch.chdir(empty)
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: output directory {name!r} has no name of its own\n"
+        assert list(empty.iterdir()) == []
+
+    def test_a_stamped_run_passes_over_a_partial_directory(self, tmp_path, frozen_model, monkeypatch):
+        class FrozenDatetime(datetime):
+            @classmethod
+            def now(cls, tz=None):
+                return datetime(2026, 1, 2, 3, 4, 5, tzinfo=tz)
+
+        monkeypatch.setattr(cli, "datetime", FrozenDatetime)
+        argv = self._argv(tmp_path, frozen_model, "pipeline")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "runs" / "20260102T030405Z.partial").mkdir(parents=True)
+        assert cli.main(argv) == 0
+        runs = sorted(p.name for p in (tmp_path / "runs").iterdir())
+        assert runs == ["20260102T030405Z-1", "20260102T030405Z.partial"]
+        assert list((tmp_path / "runs" / "20260102T030405Z.partial").iterdir()) == []
+
+
 def _stub_answer(path, body):
     if path == "/chat/completions":
         return {"choices": [{"message": {"content": "This urgent link is a scam. Do not click it."}}]}
@@ -733,15 +841,18 @@ class TestRemoteOverlap:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: stage 'evaluate' failed:") and "401" in err
-        explained = len((out / "evidence.jsonl").read_text().splitlines())
+        assert not out.exists() and not out.with_name("run.partial").exists()
+        # The evidence does not depend on the generator, so a mock run of the
+        # same config explains as many messages.
+        mock = tmp_path / "mock"
+        assert cli.main(["pipeline", "--config", str(tmp_path / "config.json"), "--mock", "--out", str(mock)]) == 0
+        explained = len((mock / "evidence.jsonl").read_text().splitlines())
         # The first rejected scoring call stops its batch: only the calls
         # already running send a request. A batch reads at most
         # 2 * MAX_IN_FLIGHT items before it waits for its first result, so
         # generation sends at most that many more than scoring has read.
         assert self._count(stub_server, "/nli") <= MAX_IN_FLIGHT
         assert self._count(stub_server, "/chat/completions") <= 4 * MAX_IN_FLIGHT < 4 * explained
-        assert not (out / "metrics.jsonl").exists()
-        assert not (out / "explanations.jsonl").exists()
 
     def test_rejected_generation_key_mid_batch_names_generate(
         self, tmp_path, frozen_model, stub_server, monkeypatch, capsys
@@ -758,7 +869,7 @@ class TestRemoteOverlap:
         err = capsys.readouterr().err
         assert err.startswith("error: stage 'generate' failed:") and "401" in err
         assert self._count(stub_server, "/nli") >= 1
-        assert not (out / "metrics.jsonl").exists()
+        assert not out.exists() and not out.with_name("run.partial").exists()
 
 
 class TestStageCommands:
@@ -1172,12 +1283,26 @@ class TestExplainOne:
     def test_stopword_only_text_has_no_evidence_to_explain(self, tmp_path, frozen_model, capsys):
         model_path = tmp_path / "model.json"
         detector.save_model(frozen_model, model_path)
-        argv = ["explain-one", "--text", "the and of to it is", "--channel", "sms"]
+        # Stopwords only, which the detector predicts scam (p_scam 0.5111).
+        argv = ["explain-one", "--text", "before your now", "--channel", "sms"]
         rc = cli.main([*argv, "--model", str(model_path), "--persona", "high", "--mock"])
         out = capsys.readouterr().out
         assert rc == 1
         assert out.endswith("evidence:\n  (empty)\n")
         assert "explanation" not in out
+
+    def test_a_message_predicted_ham_is_not_explained(self, tmp_path, frozen_model, capsys):
+        # `pipeline` explains only what filter_for_explanation keeps, and so
+        # does explain-one: no evidence, and no claim that this was flagged.
+        model_path = tmp_path / "model.json"
+        detector.save_model(frozen_model, model_path)
+        text = "See you at lunch tomorrow, bring the project notes please"
+        rc = cli.main(["explain-one", "--text", text, "--channel", "sms", "--model", str(model_path), "--mock"])
+        assert rc == 1
+        assert capsys.readouterr().out == (
+            "prediction: ham (p_scam=0.4960, logit=-0.0159)\n"
+            "not explained: like pipeline, explain-one explains only English messages predicted scam\n"
+        )
 
     def test_persona_none_maps_to_xai_only(self, tmp_path, frozen_model, capsys):
         model_path = tmp_path / "model.json"
@@ -1294,6 +1419,25 @@ class TestAimLedger:
         }
         digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in produced.items()}
         assert digests == GOLDEN_DIGESTS
+
+    def test_aim3_a_failed_run_never_leaves_a_half_written_run_directory(
+        self, tmp_path, frozen_model, small_corpus, capsys
+    ):
+        # A ham-only corpus fails at the explanation filter, after the corpus
+        # and the predictions are written; the same command then fails the
+        # same way instead of finding a half-written directory.
+        corpus_path = tmp_path / "corpus.jsonl"
+        ham = corpus.MessageSet(tuple(m for m in small_corpus if m.label is corpus.Label.HAM))
+        corpus.save_jsonl(ham, corpus_path)
+        model_path = tmp_path / "model.json"
+        detector.save_model(frozen_model, model_path)
+        config = write_config(tmp_path, corpus_path=str(corpus_path), model_path=str(model_path))
+        out = tmp_path / "hamrun"
+        for _ in range(2):
+            rc = cli.main(["pipeline", "--config", str(config), "--mock", "--out", str(out)])
+            assert rc == 1
+            assert capsys.readouterr().err == "error: no messages survived the explanation filter\n"
+            assert not out.exists() and not (tmp_path / "hamrun.partial").exists()
 
     def test_aim3_outputs_are_a_pure_function_of_config_and_seeds_not_the_hash_seed(self, tmp_path):
         # perfbench pins PYTHONHASHSEED to 0, so only a test can see an
