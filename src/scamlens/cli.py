@@ -313,6 +313,12 @@ def _check_endpoint(mock: bool, endpoint: generation.EndpointConfig | None, miss
     generation.auth_headers(endpoint)
 
 
+def _check_out_file(path: str) -> None:
+    """An --out file must be in an existing directory and not be a directory itself."""
+    if Path(path).is_dir() or not Path(path).parent.is_dir():
+        raise ConfigError(f"--out {path!r} names no file in an existing directory")
+
+
 def _explanation_subset(
     config: RunConfig, filtered: corpus.MessageSet
 ) -> corpus.MessageSet:
@@ -401,10 +407,9 @@ def _predict(
 
 def _explain(
     config: RunConfig, model: detector.DetectorModel, messages: corpus.MessageSet, out: Path
-) -> tuple[dict[str, attribution.EvidenceSet], Iterable[generation.Explanation]]:
-    """Returns evidence by message id (see `_compute_evidence`) and the
-    explanations, which a remote generator yields as a lazy stream (see
-    `_generate_all`)."""
+) -> tuple[dict[str, attribution.EvidenceSet], Iterator[generation.Explanation]]:
+    """Evidence by message id (see `_compute_evidence`) and the explanation stream (see
+    `_generate_all`), each explanation written to explanations.jsonl as it is read."""
     evidence_by_id = _compute_evidence(config, model, messages)
     if not evidence_by_id:
         raise ConfigError("every message to explain produced an empty evidence set")
@@ -413,7 +418,9 @@ def _explain(
     corpus.write_jsonl(out / "evidence.jsonl", records)
     with _stage("prompts"):
         prompts = _build_prompts(config, messages, evidence_by_id)
-    return evidence_by_id, _generate_all(config, prompts)
+    explanations = _generate_all(config, prompts)
+    path = out / "explanations.jsonl"
+    return evidence_by_id, corpus.written_jsonl(path, explanations, generation.explanation_to_record)
 
 
 def _evaluate(
@@ -421,8 +428,8 @@ def _evaluate(
     explanations: Iterable[generation.Explanation],
     evidence_by_id: Mapping[str, attribution.EvidenceSet],
     path: Path,
-) -> tuple[list[generation.Explanation], list[evaluation.MessageMetrics]]:
-    """The explanations, read once by the NLI scorer, and their metrics, in input order.
+) -> list[evaluation.MessageMetrics]:
+    """Metrics of the explanations, read once by the NLI scorer, in input order.
 
     A mock score is measured before the next explanation is read, so its
     faithfulness reuses the lemma set the mock scorer just computed."""
@@ -431,23 +438,19 @@ def _evaluate(
             scored = ((e, evaluation.mock_score_nli(e)) for e in explanations)
         else:
             scored = evaluation.score_nli_many(config.nli, explanations)
-        scored_explanations: list[generation.Explanation] = []
-        metrics: list[evaluation.MessageMetrics] = []
-        for e, scores in scored:
-            scored_explanations.append(e)
-            metrics.append(
-                evaluation.MessageMetrics(
-                    message_id=e.message_id,
-                    condition=e.condition,
-                    correctness=evaluation.correctness(scores, config.evaluation),
-                    fkgl=evaluation.fkgl(e.text).fkgl,
-                    faithfulness=evaluation.faithfulness(evidence_by_id[e.message_id], e)
-                    if e.condition.wants_evidence
-                    else None,
-                )
+        rows = (
+            evaluation.MessageMetrics(
+                message_id=e.message_id,
+                condition=e.condition,
+                correctness=evaluation.correctness(scores, config.evaluation),
+                fkgl=evaluation.fkgl(e.text).fkgl,
+                faithfulness=evaluation.faithfulness(evidence_by_id[e.message_id], e)
+                if e.condition.wants_evidence
+                else None,
             )
-    corpus.write_jsonl(path, map(evaluation.metrics_to_record, metrics))
-    return scored_explanations, metrics
+            for e, scores in scored
+        )
+        return list(corpus.written_jsonl(path, rows, evaluation.metrics_to_record))
 
 
 def _report(metrics: Sequence[evaluation.MessageMetrics], out: Path) -> str:
@@ -462,10 +465,10 @@ def _report(metrics: Sequence[evaluation.MessageMetrics], out: Path) -> str:
 def run_pipeline(config: RunConfig, allow_train: bool) -> Path:
     _check_endpoint(config.mock_llm, config.llm, _GENERATOR_MISSING)
     _check_endpoint(config.mock_nli, config.nli, _SCORER_MISSING)
-    if not allow_train and not (config.model_path and Path(config.model_path).exists()):
-        raise ConfigError(
-            f"model_path {config.model_path!r} names no checkpoint; pass --train to fit one"
-        )
+    if bool(config.model_path) == allow_train:
+        raise ConfigError("the detector needs exactly one source: model_path (a checkpoint to load) or --train")
+    if config.model_path and not Path(config.model_path).is_file():
+        raise ConfigError(f"model_path {config.model_path!r} names no file; make one with scamlens train --out")
     with _run_dir(config.out_dir) as (run, out):
         with _stage("corpus"):
             if config.corpus_path:
@@ -474,13 +477,12 @@ def run_pipeline(config: RunConfig, allow_train: bool) -> Path:
                 messages = corpus.synth_corpus(config.synth_seed, config.synth_per_stratum)
         corpus.save_jsonl(messages, run / "corpus.jsonl")
 
-        model_path = Path(config.model_path or run / "model.json")
         with _stage("model"):
-            if model_path.exists():
-                model = detector.load_model(model_path)
+            if config.model_path:
+                model = detector.load_model(config.model_path)
             else:
                 model = detector.train(messages, detector.TrainConfig(**config.train))
-                detector.save_model(model, model_path)
+                detector.save_model(model, run / "model.json")
 
         predictions = _predict(model, messages, run / "predictions.jsonl")
 
@@ -495,11 +497,8 @@ def run_pipeline(config: RunConfig, allow_train: bool) -> Path:
             subset = _explanation_subset(config, filtered)
         corpus.save_jsonl(subset, run / "subset.jsonl")
 
-        # Scoring reads the generated explanations as they arrive; they are
-        # written once every one of them has been scored.
         evidence_by_id, generated = _explain(config, model, subset, run)
-        explanations, metrics = _evaluate(config, generated, evidence_by_id, run / "metrics.jsonl")
-        corpus.write_jsonl(run / "explanations.jsonl", map(generation.explanation_to_record, explanations))
+        metrics = _evaluate(config, generated, evidence_by_id, run / "metrics.jsonl")
         _report(metrics, run)
 
         manifest = {
@@ -547,6 +546,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    _check_out_file(args.out)
     config = apply_overrides(load_run_config(args.config), args)
     messages = corpus.load_jsonl(args.corpus)
     model = detector.train(messages, detector.TrainConfig(**config.train))
@@ -616,13 +616,15 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     model = detector.load_model(args.model)
     with _run_dir(config.out_dir) as (run, _):
         evidence_by_id, generated = _explain(config, model, messages, run)
-        corpus.write_jsonl(run / "explanations.jsonl", map(generation.explanation_to_record, generated))
+        for _ in generated:
+            pass
     dropped = len(messages) - len(evidence_by_id)
     print(f"explained {len(evidence_by_id)} messages ({dropped} dropped for empty evidence)")
     return 0
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    _check_out_file(args.out)
     config = apply_overrides(load_run_config(args.config), args)
     _check_endpoint(config.mock_nli, config.nli, _SCORER_MISSING)
     evidence_by_id = dict(corpus.read_jsonl(args.evidence, attribution.evidence_from_record))
@@ -630,7 +632,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     wanted = {e.message_id for e in explanations if e.condition.wants_evidence}
     if missing := sorted(wanted - evidence_by_id.keys()):
         raise corpus.CorpusError(f"{args.evidence} has no evidence row for message {missing[0]!r}")
-    _, metrics = _evaluate(config, explanations, evidence_by_id, Path(args.out))
+    metrics = _evaluate(config, explanations, evidence_by_id, Path(args.out))
     print(f"scored {len(metrics)} explanations to {args.out}")
     return 0
 
@@ -702,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("pipeline", parents=[seeded, mock], help="run every stage end to end")
-    p.add_argument("--train", action="store_true", help="train the detector if no checkpoint exists")
+    p.add_argument("--train", action="store_true", help="fit the detector into <out>/model.json (no model_path)")
     p.add_argument("--conditions")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_pipeline)

@@ -378,12 +378,18 @@ def _message_set(messages: Iterable[Message], origin: str | Path) -> MessageSet:
 _JSONL_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
 
 
-def write_jsonl(path: str | Path, records: Iterable[Mapping[str, Any]]) -> None:
-    """Write one JSON object per line, keys sorted; the only JSON-lines writer."""
+def written_jsonl(path: str | Path, items: Iterable[T], to_record: Callable[[T], Mapping]) -> Iterator[T]:
+    """Each item, passed on once `to_record(item)` is written to `path` as a JSON line with
+    sorted keys; the only JSON-lines writer. The file opens when the first item is asked for."""
     with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(_JSONL_ENCODER.encode(record))
-            handle.write("\n")
+        for item in items:
+            handle.write(_JSONL_ENCODER.encode(to_record(item)) + "\n")
+            yield item
+
+
+def write_jsonl(path: str | Path, records: Iterable[Mapping[str, Any]]) -> None:
+    for _ in written_jsonl(path, records, lambda record: record):
+        pass
 
 
 def _refuse_constant(name: str) -> float:

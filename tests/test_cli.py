@@ -45,6 +45,8 @@ GOLDEN_DIGESTS = {
 
 # An endpoint key variable that no test sets.
 _UNSET_KEY = {"api_key_env_var": "SCAMLENS_TEST_UNSET_KEY"}
+# A generator that refuses every connection at once.
+_UNREACHABLE_LLM = {"base_url": "http://127.0.0.1:9", "model_name": "m", "api_key_env_var": None, "max_retries": 0}
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -276,9 +278,8 @@ class TestScoreAll:
             for condition in Condition
         ]
         path = tmp_path / "metrics.jsonl"
-        received, metrics = cli._evaluate(cli.RunConfig(mock_nli=True), iter(explanations), evidence, path)
+        metrics = cli._evaluate(cli.RunConfig(mock_nli=True), iter(explanations), evidence, path)
 
-        assert received == explanations
         assert [(m.message_id, m.condition) for m in metrics] == [
             (e.message_id, e.condition) for e in explanations
         ]
@@ -313,7 +314,7 @@ class TestScoreAll:
             )
             for condition in Condition
         ]
-        _, metrics = cli._evaluate(
+        metrics = cli._evaluate(
             cli.RunConfig(mock_nli=True), iter(explanations), evidence, tmp_path / "metrics.jsonl"
         )
         assert lemmatized == [token for e in explanations for token in e.text.split()]
@@ -579,19 +580,29 @@ class TestPipelineCommand:
                 ["--train"],
             ),
             ({"model_path": "nomodel.json"}, ["--mock"]),
+            # The detector comes from model_path or from --train, never both.
+            ({"model_path": "ext/model.json", "llm": _UNREACHABLE_LLM, "nli": {"mock": True}}, ["--train"]),
+            ({"model_path": "nodir/model.json"}, ["--mock", "--train"]),
+            ({"model_path": "checkpoint.json"}, ["--mock", "--train"]),
         ],
     )
     def test_unusable_setup_fails_before_out_dir(
-        self, tmp_path, capsys, monkeypatch, overrides, flags
+        self, tmp_path, capsys, monkeypatch, frozen_model, overrides, flags
     ):
         monkeypatch.delenv(_UNSET_KEY["api_key_env_var"], raising=False)
+        monkeypatch.setattr(detector, "train", lambda *args, **kwargs: pytest.fail("the detector was trained"))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ext").mkdir()
+        detector.save_model(frozen_model, tmp_path / "checkpoint.json")
         config = write_config(tmp_path, **overrides)
+        before = sorted(tmp_path.rglob("*"))
         out = tmp_path / "run"
         rc = cli.main(["pipeline", "--config", str(config), "--out", str(out), *flags])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_remote_pipeline_without_endpoint_config_fails_cleanly(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -963,6 +974,29 @@ class TestStageCommands:
         assert cli.main(args + ["--config", str(config)]) == 1
         assert "val_fraction" in capsys.readouterr().err
         assert not model_path.exists()
+
+    @pytest.mark.parametrize("out", ["nodir/out.json", "."], ids=["missing_parent", "directory"])
+    def test_train_and_evaluate_check_their_out_before_any_work(
+        self, tmp_path, small_corpus, stub_server, capsys, monkeypatch, out
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(detector, "train", lambda *args, **kwargs: pytest.fail("the detector was trained"))
+        stub_server.script = [{"body": {"entailment": 0.7, "neutral": 0.2, "contradiction": 0.1}}]
+        corpus.save_jsonl(small_corpus, "corpus.jsonl")
+        phrases = [{"word": "urgent", "score": 0.5}]
+        Path("evidence.jsonl").write_text(json.dumps({"id": "m1", "phrases": phrases, "k": 8, "seed": 0}) + "\n")
+        row = {"message_id": "m1", "condition": "xai_only", "text": "Urgent.", "generator": "mock", "model_name": "mock"}
+        Path("explanations.jsonl").write_text(json.dumps(row) + "\n")
+        config = write_config(tmp_path, nli={"base_url": stub_server.url, "api_key_env_var": None})
+        commands = [
+            ["train", "--corpus", "corpus.jsonl", "--out", out],
+            ["evaluate", "--config", str(config), "--evidence", "evidence.jsonl",
+             "--explanations", "explanations.jsonl", "--out", out],
+        ]
+        for command in commands:
+            assert cli.main(command) == 1, command[0]
+            assert capsys.readouterr().err == f"error: --out {out!r} names no file in an existing directory\n"
+        assert stub_server.requests == []
 
     def test_train_help_lists_no_train_config_flags(self, capsys):
         with pytest.raises(SystemExit):
@@ -1438,6 +1472,20 @@ class TestAimLedger:
             assert rc == 1
             assert capsys.readouterr().err == "error: no messages survived the explanation filter\n"
             assert not out.exists() and not (tmp_path / "hamrun.partial").exists()
+
+    def test_aim3_a_failed_run_writes_nothing_outside_its_run_directory(self, tmp_path, capsys, monkeypatch):
+        # A --train run fits the detector into its own run directory, so a
+        # failure at stage 'generate' takes the checkpoint with it; an
+        # external model_path with --train is refused before anything is written.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ext").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        config = write_config(tmp_path, llm=_UNREACHABLE_LLM, nli={"mock": True})
+        assert cli.main(["pipeline", "--config", str(config), "--train", "--out", "run"]) == 1
+        assert capsys.readouterr().err.startswith("error: stage 'generate' failed: ")
+        config = write_config(tmp_path, llm=_UNREACHABLE_LLM, nli={"mock": True}, model_path="ext/model.json")
+        assert cli.main(["pipeline", "--config", str(config), "--train", "--out", "run"]) == 1
+        assert sorted(p for p in tmp_path.rglob("*") if p != config) == before
 
     def test_aim3_outputs_are_a_pure_function_of_config_and_seeds_not_the_hash_seed(self, tmp_path):
         # perfbench pins PYTHONHASHSEED to 0, so only a test can see an
