@@ -368,30 +368,27 @@ def _build_prompts(
     config: RunConfig,
     messages: corpus.MessageSet,
     evidence_by_id: Mapping[str, attribution.EvidenceSet],
-) -> list[generation.Prompt]:
-    return [
-        generation.build_prompt(
-            condition,
-            corpus.format_input(message),
-            evidence_by_id[message.id] if condition.wants_evidence else None,
-            message_id=message.id,
-        )
-        for condition in config.conditions
-        for message in messages
-        if message.id in evidence_by_id
-    ]
+) -> Iterator[generation.Prompt]:
+    for condition in config.conditions:
+        for message in messages:
+            if message.id in evidence_by_id:
+                yield generation.build_prompt(
+                    condition,
+                    corpus.format_input(message),
+                    evidence_by_id[message.id] if condition.wants_evidence else None,
+                    message_id=message.id,
+                )
 
 
 def _generate_all(
-    config: RunConfig, prompts: Sequence[generation.Prompt]
-) -> Iterable[generation.Explanation]:
-    """Explanations in prompt order, made as stage 'generate': a list from the
-    mock, and from a remote endpoint a lazy stream whose failures name that
-    stage. Scoring reads the stream, so requests for later prompts overlap
+    config: RunConfig, prompts: Iterable[generation.Prompt]
+) -> Iterator[generation.Explanation]:
+    """Explanations in prompt order, a lazy stream whose failures name stage
+    'generate'. Scoring reads the stream, so a mock explanation is scored
+    before the next prompt is built, and requests for later prompts overlap
     the scoring of earlier explanations."""
     if config.mock_llm:
-        with _stage("generate"):
-            return [generation.mock_generate(p) for p in prompts]
+        return _staged("generate", map(generation.mock_generate, prompts))
     return _staged("generate", generation.generate_many(config.llm, prompts))
 
 
@@ -416,8 +413,7 @@ def _explain(
     seed = config.attribution.seed
     records = (attribution.evidence_to_record(mid, e, seed) for mid, e in evidence_by_id.items())
     corpus.write_jsonl(out / "evidence.jsonl", records)
-    with _stage("prompts"):
-        prompts = _build_prompts(config, messages, evidence_by_id)
+    prompts = _staged("prompts", _build_prompts(config, messages, evidence_by_id))
     explanations = _generate_all(config, prompts)
     path = out / "explanations.jsonl"
     return evidence_by_id, corpus.written_jsonl(path, explanations, generation.explanation_to_record)
@@ -531,6 +527,7 @@ def run_pipeline(config: RunConfig, allow_train: bool) -> Path:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
+    _check_out_file(args.out)
     message_set = corpus.ingest_jsonl(args.infile, corpus.Channel(args.channel))
     corpus.save_jsonl(message_set, args.out)
     print(f"ingested {len(message_set)} messages to {args.out}")
@@ -538,6 +535,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    _check_out_file(args.out)
     message_set = corpus.load_jsonl(args.infile)
     sampled = corpus.stratified_sample(message_set, args.per_stratum, args.seed)
     corpus.save_jsonl(sampled, args.out)
@@ -556,6 +554,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
+    _check_out_file(args.out)
     messages = corpus.load_jsonl(args.corpus)
     model = detector.load_model(args.model)
     predictions = _predict(model, messages, Path(args.out))

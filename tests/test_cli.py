@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import subprocess_env
-from scamlens import cli, corpus, detector, evaluation, lexicon, persona
+from scamlens import cli, corpus, detector, evaluation, generation, lexicon, persona
 from scamlens.attribution import AttributionConfig, EvidenceSet
 from scamlens.cli import ConfigError, interpolate_env, load_run_config, parse_conditions
 from scamlens.evaluation import EvaluationConfig
@@ -344,7 +344,7 @@ class TestBuildPrompts:
 
     def test_every_prompt_byte_is_pinned(self):
         messages = corpus.MessageSet((self.MESSAGE,))
-        prompts = cli._build_prompts(cli.RunConfig(), messages, {self.MESSAGE.id: self.EVIDENCE})
+        prompts = list(cli._build_prompts(cli.RunConfig(), messages, {self.MESSAGE.id: self.EVIDENCE}))
         digests = {
             p.condition.value: hashlib.sha256(
                 json.dumps([p.system_text, p.user_text]).encode("utf-8")
@@ -976,20 +976,25 @@ class TestStageCommands:
         assert not model_path.exists()
 
     @pytest.mark.parametrize("out", ["nodir/out.json", "."], ids=["missing_parent", "directory"])
-    def test_train_and_evaluate_check_their_out_before_any_work(
-        self, tmp_path, small_corpus, stub_server, capsys, monkeypatch, out
+    def test_commands_check_their_out_before_any_work(
+        self, tmp_path, small_corpus, frozen_model, stub_server, capsys, monkeypatch, out
     ):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(detector, "train", lambda *args, **kwargs: pytest.fail("the detector was trained"))
+        monkeypatch.setattr(detector, "predict_set", lambda *args, **kwargs: pytest.fail("the detector predicted"))
         stub_server.script = [{"body": {"entailment": 0.7, "neutral": 0.2, "contradiction": 0.1}}]
         corpus.save_jsonl(small_corpus, "corpus.jsonl")
+        detector.save_model(frozen_model, "model.json")
         phrases = [{"word": "urgent", "score": 0.5}]
         Path("evidence.jsonl").write_text(json.dumps({"id": "m1", "phrases": phrases, "k": 8, "seed": 0}) + "\n")
         row = {"message_id": "m1", "condition": "xai_only", "text": "Urgent.", "generator": "mock", "model_name": "mock"}
         Path("explanations.jsonl").write_text(json.dumps(row) + "\n")
         config = write_config(tmp_path, nli={"base_url": stub_server.url, "api_key_env_var": None})
         commands = [
+            ["ingest", "--in", "corpus.jsonl", "--channel", "sms", "--out", out],
+            ["sample", "--in", "corpus.jsonl", "--out", out, "--per-stratum", "2"],
             ["train", "--corpus", "corpus.jsonl", "--out", out],
+            ["predict", "--corpus", "corpus.jsonl", "--model", "model.json", "--out", out],
             ["evaluate", "--config", str(config), "--evidence", "evidence.jsonl",
              "--explanations", "explanations.jsonl", "--out", out],
         ]
@@ -1486,6 +1491,25 @@ class TestAimLedger:
         config = write_config(tmp_path, llm=_UNREACHABLE_LLM, nli={"mock": True}, model_path="ext/model.json")
         assert cli.main(["pipeline", "--config", str(config), "--train", "--out", "run"]) == 1
         assert sorted(p for p in tmp_path.rglob("*") if p != config) == before
+
+    def test_aim3_explain_and_evaluate_hold_one_explanation_at_a_time(self, tmp_path, monkeypatch):
+        # A mock run builds, generates and scores each explanation before it
+        # builds the next prompt, so no list of prompts or explanations lives.
+        calls = []
+        for module, name in (
+            (generation, "build_prompt"), (generation, "mock_generate"), (evaluation, "mock_score_nli")
+        ):
+            def recorded(*args, _call=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, recorded)
+        config = write_config(tmp_path)
+        run = tmp_path / "run"
+        assert cli.main(["pipeline", "--config", str(config), "--mock", "--train", "--out", str(run)]) == 0
+        explanations = len((run / "explanations.jsonl").read_text().splitlines())
+        assert explanations > 1
+        assert calls == ["build_prompt", "mock_generate", "mock_score_nli"] * explanations
 
     def test_aim3_outputs_are_a_pure_function_of_config_and_seeds_not_the_hash_seed(self, tmp_path):
         # perfbench pins PYTHONHASHSEED to 0, so only a test can see an
