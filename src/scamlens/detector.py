@@ -23,10 +23,10 @@ Training is full-batch gradient descent with early stopping on validation
 macro F1; there is no minibatch shuffling, so a (config, seed) pair always
 yields identical weights. Training holds the (N, V) bag matrix in sparse
 form and pools the hidden projection E W1 rather than the embedding E, so
-its bag products cost O(nnz * h) for nnz distinct (message, piece) pairs,
-never O(N * V). Each vocabulary memoizes the segmentation of every word it
-has seen, so a word is segmented once however many messages and stages
-tokenize it.
+its bag products cost O(nnz * h) time and O(nnz) temporary memory for nnz
+distinct (message, piece) pairs, never O(N * V). Each vocabulary memoizes
+the segmentation of every word it has seen, so a word is segmented once
+however many messages and stages tokenize it.
 """
 
 from __future__ import annotations
@@ -425,10 +425,10 @@ class _Bags:
     Entries are kept in row order (CSR: `indptr`, `ids`, `weights`) for
     pooling, and in column order (`col_rows`, `col_weights`, grouped by
     `col_starts` over the used ids `used`) for the gradient B.T @ G. For
-    operands w columns wide, both products gather into a (w, nnz) array and
-    sum runs along its contiguous axis, so their cost and memory grow with
-    nnz * w, not N x V; training passes w = h. Every row must hold at least
-    one piece.
+    operands w columns wide, both products gather one column at a time into
+    an nnz-long array and sum its runs, so their cost grows with nnz * w and
+    their temporary memory with nnz, not N x V; training passes w = h. Every
+    row must hold at least one piece.
     """
 
     n_cols: int
@@ -443,38 +443,57 @@ class _Bags:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], n_cols: int) -> "_Bags":
         lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-        flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.intp, count=int(lengths.sum()))
-        row_of = np.repeat(np.arange(len(rows), dtype=np.intp), lengths)
-        keys, counts = np.unique(row_of * n_cols + flat, return_counts=True)
-        row, ids = np.divmod(keys, n_cols)
+        keys = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.intp, count=int(lengths.sum()))
+        keys += np.repeat(np.arange(len(rows), dtype=np.intp) * n_cols, lengths)
+        keys.sort()
+        run_start = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
+        starts = np.flatnonzero(run_start)
+        del run_start
+        counts = np.diff(starts, append=len(keys))
+        row, ids = np.divmod(keys[starts], n_cols)
+        del keys, starts
         weights = counts / lengths[row]
         indptr = np.zeros(len(rows) + 1, dtype=np.intp)
         np.cumsum(np.bincount(row, minlength=len(rows)), out=indptr[1:])
         order = np.argsort(ids, kind="stable")
-        used, col_starts = np.unique(ids[order], return_index=True)
+        id_counts = np.bincount(ids, minlength=n_cols)
+        used = np.flatnonzero(id_counts)
         return cls(
             n_cols=n_cols,
             indptr=indptr,
             ids=ids,
             weights=weights,
             used=used,
-            col_starts=col_starts,
+            col_starts=(np.cumsum(id_counts) - id_counts)[used],
             col_rows=row[order],
             col_weights=weights[order],
         )
 
+    # One nnz-long buffer per call, refilled for each column. The operand has
+    # n_cols rows (`pool`) or N rows (`pool_grad`), so every index is in range
+    # and mode="clip" never clips; unlike "raise", it fills `out` without
+    # allocating a temporary copy first.
     def pool(self, embedding: np.ndarray) -> np.ndarray:
         """B @ embedding, shape (V, w) -> (N, w)."""
-        products = np.take(embedding.T, self.ids, axis=1)
-        products *= self.weights
-        return np.add.reduceat(products, self.indptr[:-1], axis=1).T
+        pooled = np.empty((embedding.shape[1], len(self.indptr) - 1))
+        products = np.empty(len(self.ids))
+        for j, column in enumerate(embedding.T):
+            np.take(column, self.ids, out=products, mode="clip")
+            products *= self.weights
+            np.add.reduceat(products, self.indptr[:-1], out=pooled[j])
+        # The transpose of a C-ordered (w, N) array: `hidden @ out_w` and
+        # `d_hidden.sum(axis=0)` in `train` sum in the order this layout gives.
+        return pooled.T
 
     def pool_grad(self, d_pooled: np.ndarray) -> np.ndarray:
         """B.T @ d_pooled, shape (N, w) -> (V, w); unused ids get zero rows."""
-        products = np.take(d_pooled.T, self.col_rows, axis=1)
-        products *= self.col_weights
         grad = np.zeros((self.n_cols, d_pooled.shape[1]))
-        grad[self.used] = np.add.reduceat(products, self.col_starts, axis=1).T
+        products = np.empty(len(self.col_rows))
+        for j, column in enumerate(d_pooled.T):
+            np.take(column, self.col_rows, out=products, mode="clip")
+            products *= self.col_weights
+            grad[self.used, j] = np.add.reduceat(products, self.col_starts)
         return grad
 
 

@@ -271,15 +271,73 @@ def dense_bags(rows, n_cols: int) -> np.ndarray:
     return bags
 
 
+def reference_bags(rows, n_cols: int) -> dict[str, np.ndarray]:
+    """The arrays `_Bags.from_rows` must build, dtype for dtype, derived with
+    `np.unique`."""
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    flat = np.fromiter((i for r in rows for i in r), dtype=np.intp, count=int(lengths.sum()))
+    row_of = np.repeat(np.arange(len(rows), dtype=np.intp), lengths)
+    keys, counts = np.unique(row_of * n_cols + flat, return_counts=True)
+    row, ids = np.divmod(keys, n_cols)
+    weights = counts / lengths[row]
+    indptr = np.zeros(len(rows) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(row, minlength=len(rows)), out=indptr[1:])
+    order = np.argsort(ids, kind="stable")
+    used, col_starts = np.unique(ids[order], return_index=True)
+    return {
+        "indptr": indptr,
+        "ids": ids,
+        "weights": weights,
+        "used": used,
+        "col_starts": col_starts,
+        "col_rows": row[order],
+        "col_weights": weights[order],
+    }
+
+
+def reference_pool(bags: _Bags, embedding: np.ndarray) -> np.ndarray:
+    """B @ embedding through one (w, nnz) gather: the values and the layout
+    `_Bags.pool` must give."""
+    products = np.take(embedding.T, bags.ids, axis=1)
+    products *= bags.weights
+    return np.add.reduceat(products, bags.indptr[:-1], axis=1).T
+
+
+def reference_pool_grad(bags: _Bags, d_pooled: np.ndarray) -> np.ndarray:
+    """B.T @ d_pooled through one (w, nnz) gather: the values
+    `_Bags.pool_grad` must give."""
+    products = np.take(d_pooled.T, bags.col_rows, axis=1)
+    products *= bags.col_weights
+    grad = np.zeros((bags.n_cols, d_pooled.shape[1]))
+    grad[bags.used] = np.add.reduceat(products, bags.col_starts, axis=1).T
+    return grad
+
+
 class TestBags:
-    def _check(self, rows, n_cols, seed=0):
+    def _check(self, rows, n_cols, seed=0, width=5):
         rng = np.random.default_rng(seed)
         bags = _Bags.from_rows(rows, n_cols)
+        for name, expected in reference_bags(rows, n_cols).items():
+            actual = getattr(bags, name)
+            assert actual.dtype == expected.dtype and np.array_equal(actual, expected), name
         dense = dense_bags(rows, n_cols)
-        embedding = rng.normal(size=(n_cols, 5))
-        d_pooled = rng.normal(size=(len(rows), 5))
-        np.testing.assert_allclose(bags.pool(embedding), dense @ embedding, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(bags.pool_grad(d_pooled), dense.T @ d_pooled, rtol=0, atol=1e-12)
+        embedding = rng.normal(size=(n_cols, width))
+        d_pooled = rng.normal(size=(len(rows), width))
+        pooled, expected = bags.pool(embedding), reference_pool(bags, embedding)
+        np.testing.assert_allclose(pooled, dense @ embedding, rtol=0, atol=1e-12)
+        assert np.array_equal(pooled, expected)
+        # Same strides too: `train` sums `hidden @ out_w` and
+        # `d_hidden.sum(axis=0)` in an order the layout sets.
+        assert pooled.strides == expected.strides
+        grad = bags.pool_grad(d_pooled)
+        np.testing.assert_allclose(grad, dense.T @ d_pooled, rtol=0, atol=1e-12)
+        assert np.array_equal(grad, reference_pool_grad(bags, d_pooled))
+
+    @pytest.mark.parametrize("width", [1, 3, 8])
+    def test_equals_the_reference_on_repeated_and_one_piece_rows(self, width):
+        rows = [[0, 3, 3, 7, 0, 0], [5], [2, 8, 6, 3, 0, 5, 5, 2, 8, 8, 7, 6, 3, 2, 0, 0, 5], [7, 7]]
+        assert {1, 4, 9}.isdisjoint(_Bags.from_rows(rows, 10).used.tolist())
+        self._check(rows, 10, seed=width, width=width)
 
     def test_matches_dense_products_on_tokenized_messages(self):
         # "zz" and "qqq" are never produced, so their gradient rows stay zero.
@@ -647,8 +705,8 @@ class TestTrain:
 
     # At N 600 / V 2000 the peak is about a third of one dense N x V float64
     # matrix, so only the whole matrix is a safe bound there. At N 6000 /
-    # V 8000 it is about 5 %, and the bound is an eighth of the matrix: a
-    # dense bag matrix in training would exceed it eightfold.
+    # V 8000 it is about 4 % (14.9 of 384 MB), and the bound is an eighth of
+    # the matrix: a dense bag matrix in training would exceed it eightfold.
     @pytest.mark.parametrize(
         "per_stratum, vocab_size, margin", [(100, 2000, 1), (1000, 8000, 8)], ids=["N600", "N6000"]
     )
@@ -663,6 +721,32 @@ class TestTrain:
         assert (len(corpus), len(model.vocab)) == (6 * per_stratum, vocab_size)
         dense = len(corpus) * len(model.vocab) * np.dtype(np.float64).itemsize
         assert peak < dense / margin
+
+    def test_temporaries_do_not_grow_with_nnz_times_hidden_width(self, monkeypatch):
+        # Widening h from 8 to 64 adds (N, h) and (V, h) arrays, but the bag
+        # products must stay O(nnz): the peak may not grow by a quarter of
+        # one more (56, nnz) float64 gather.
+        corpus = synth_corpus(seed=5, per_channel_per_label=500)
+        nnz = []
+        from_rows = _Bags.from_rows
+
+        def recording_from_rows(rows, n_cols):
+            bags = from_rows(rows, n_cols)
+            nnz.append(len(bags.ids))
+            return bags
+
+        monkeypatch.setattr(_Bags, "from_rows", recording_from_rows)
+        peaks = {}
+        for h in (8, 64):
+            tracemalloc.start()
+            try:
+                train(corpus, TrainConfig(seed=5, epochs=3, patience=3, h=h))
+                _, peaks[h] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        # Each `train` builds its training bags first, then its validation bags.
+        train_nnz = max(nnz[0], nnz[2])
+        assert peaks[64] - peaks[8] < 56 * train_nnz * np.dtype(np.float64).itemsize / 4
 
     def test_generalizes_to_fresh_corpus(self, frozen_model):
         from scamlens.corpus import synth_corpus
