@@ -20,7 +20,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from . import lexicon
-from .corpus import MARKER_TOKENS
+from .corpus import MARKER_TOKENS, finite_float
 from .detector import PAD_ID, DetectorModel, TokenizedInput, embed, grad_wrt_pooled, logits_from_pooled
 
 
@@ -70,7 +70,7 @@ def evidence_to_record(message_id: str, evidence: EvidenceSet, seed: int) -> dic
 
 def evidence_from_record(record: Mapping[str, Any]) -> tuple[str, EvidenceSet]:
     """(message id, evidence set); the attribution seed is provenance only."""
-    phrases = tuple((str(p["word"]), float(p["score"])) for p in record["phrases"])
+    phrases = tuple((str(p["word"]), finite_float(p["score"])) for p in record["phrases"])
     return str(record["id"]), EvidenceSet(phrases=phrases, k=int(record["k"]))
 
 

@@ -9,6 +9,7 @@ inputs plus an explicit seed, so corpora and samples reproduce exactly.
 from __future__ import annotations
 
 import json
+import math
 import random
 import string
 from collections import Counter
@@ -392,8 +393,13 @@ def write_jsonl(path: str | Path, records: Iterable[Mapping[str, Any]]) -> None:
         pass
 
 
-def _refuse_constant(name: str) -> float:
-    raise ValueError(f"{name} is not a finite number")
+def finite_float(value: Any) -> float:
+    """`float(value)`, refusing NaN and the infinities; the record parsers'
+    one rule for a float field, and `read_jsonl`'s for a NaN or Infinity literal."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value} is not a finite number")
+    return number
 
 
 def read_jsonl(path: str | Path, parse: Callable[[Mapping[str, Any]], T]) -> list[T]:
@@ -406,7 +412,7 @@ def read_jsonl(path: str | Path, parse: Callable[[Mapping[str, Any]], T]) -> lis
             if not line.strip():
                 continue
             try:
-                record = json.loads(line.decode("utf-8"), parse_constant=_refuse_constant)
+                record = json.loads(line.decode("utf-8"), parse_constant=finite_float)
                 if not isinstance(record, dict):
                     raise TypeError(f"expected a JSON object, got {type(record).__name__}")
                 parsed.append(parse(record))

@@ -21,10 +21,11 @@ counting memory grows with the characters of the distinct words.
 
 Training is full-batch gradient descent with early stopping on validation
 macro F1; there is no minibatch shuffling, so a (config, seed) pair always
-yields identical weights. Training holds the (N, V) bag matrix in sparse
-form and pools the hidden projection E W1 rather than the embedding E, so
-its bag products cost O(nnz * h) time and O(nnz) temporary memory for nnz
-distinct (message, piece) pairs, never O(N * V). Each vocabulary memoizes
+yields identical weights. Training holds the (N, V) bag matrix B, and for
+the gradient its transpose, in one sparse type held by rows with one
+product, and pools the hidden projection E W1 rather than the embedding E,
+so its bag products cost O(nnz * h) time and O(nnz) temporary memory for
+nnz distinct (message, piece) pairs, never O(N * V). Each vocabulary memoizes
 the segmentation of every word it has seen, so a word is segmented once
 however many messages and stages tokenize it.
 """
@@ -417,84 +418,72 @@ def _corpus_piece_ids(corpus: MessageSet, vocab: Vocab, limit: int) -> list[list
 
 
 @dataclass(frozen=True)
-class _Bags:
-    """Sparse (N, V) bag matrix B whose row i holds message i's piece
-    frequencies over its piece count, so B @ E is the mean-pooled input and
-    B @ (E @ W1) its hidden projection.
+class _Sparse:
+    """Sparse (n_rows, n_cols) matrix held by rows: listed row `rows[i]` holds
+    the columns `cols` and values `weights` from `starts[i]` up to the next
+    start; a row that is not listed is zero.
 
-    Entries are kept in row order (CSR: `indptr`, `ids`, `weights`) for
-    pooling, and in column order (`col_rows`, `col_weights`, grouped by
-    `col_starts` over the used ids `used`) for the gradient B.T @ G. For
-    operands w columns wide, both products gather one column at a time into
-    an nnz-long array and sum its runs, so their cost grows with nnz * w and
-    their temporary memory with nnz, not N x V; training passes w = h. Every
-    row must hold at least one piece.
+    Training's bag matrix B (`bags`) has row i hold message i's piece
+    frequencies over its piece count, so B @ E is the mean-pooled input and
+    B @ (E @ W1) its hidden projection; its `transpose()` takes the gradient
+    B.T @ G through the same product. For an operand w columns wide, the
+    product gathers one column at a time into an nnz-long array and sums its
+    runs, so its cost grows with nnz * w and its temporary memory with nnz,
+    not n_rows x n_cols; training passes w = h.
     """
 
+    n_rows: int
     n_cols: int
-    indptr: np.ndarray
-    ids: np.ndarray
+    rows: np.ndarray
+    starts: np.ndarray
+    cols: np.ndarray
     weights: np.ndarray
-    used: np.ndarray
-    col_starts: np.ndarray
-    col_rows: np.ndarray
-    col_weights: np.ndarray
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], n_cols: int) -> "_Bags":
-        lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-        keys = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.intp, count=int(lengths.sum()))
-        keys += np.repeat(np.arange(len(rows), dtype=np.intp) * n_cols, lengths)
+    def _grouped(
+        cls, n_rows: int, n_cols: int, row_of: np.ndarray, cols: np.ndarray, weights: np.ndarray
+    ) -> "_Sparse":
+        """From entries sorted by row, `row_of` holding each one's row."""
+        counts = np.bincount(row_of, minlength=n_rows)
+        rows = np.flatnonzero(counts)
+        return cls(n_rows, n_cols, rows, (np.cumsum(counts) - counts)[rows], cols, weights)
+
+    @classmethod
+    def bags(cls, pieces: Sequence[Sequence[int]], n_cols: int) -> "_Sparse":
+        """The bag matrix of messages' piece ids; each must hold one piece or more."""
+        lengths = np.fromiter(map(len, pieces), dtype=np.intp, count=len(pieces))
+        keys = np.fromiter(itertools.chain.from_iterable(pieces), dtype=np.intp, count=int(lengths.sum()))
+        keys += np.repeat(np.arange(len(pieces), dtype=np.intp) * n_cols, lengths)
         keys.sort()
         run_start = np.ones(len(keys), dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
         starts = np.flatnonzero(run_start)
         del run_start
         counts = np.diff(starts, append=len(keys))
-        row, ids = np.divmod(keys[starts], n_cols)
+        row, cols = np.divmod(keys[starts], n_cols)
         del keys, starts
-        weights = counts / lengths[row]
-        indptr = np.zeros(len(rows) + 1, dtype=np.intp)
-        np.cumsum(np.bincount(row, minlength=len(rows)), out=indptr[1:])
-        order = np.argsort(ids, kind="stable")
-        id_counts = np.bincount(ids, minlength=n_cols)
-        used = np.flatnonzero(id_counts)
-        return cls(
-            n_cols=n_cols,
-            indptr=indptr,
-            ids=ids,
-            weights=weights,
-            used=used,
-            col_starts=(np.cumsum(id_counts) - id_counts)[used],
-            col_rows=row[order],
-            col_weights=weights[order],
-        )
+        return cls._grouped(len(pieces), n_cols, row, cols, counts / lengths[row])
 
-    # One nnz-long buffer per call, refilled for each column. The operand has
-    # n_cols rows (`pool`) or N rows (`pool_grad`), so every index is in range
-    # and mode="clip" never clips; unlike "raise", it fills `out` without
-    # allocating a temporary copy first.
-    def pool(self, embedding: np.ndarray) -> np.ndarray:
-        """B @ embedding, shape (V, w) -> (N, w)."""
-        pooled = np.empty((embedding.shape[1], len(self.indptr) - 1))
-        products = np.empty(len(self.ids))
-        for j, column in enumerate(embedding.T):
-            np.take(column, self.ids, out=products, mode="clip")
-            products *= self.weights
-            np.add.reduceat(products, self.indptr[:-1], out=pooled[j])
-        # The transpose of a C-ordered (w, N) array: `hidden @ out_w` and
+    def transpose(self) -> "_Sparse":
+        """The transpose, sorted stably, so each row sums in self's row order."""
+        row_of = np.repeat(self.rows, np.diff(self.starts, append=len(self.cols)))
+        order = np.argsort(self.cols, kind="stable")
+        return self._grouped(self.n_cols, self.n_rows, self.cols[order], row_of[order], self.weights[order])
+
+    def __matmul__(self, operand: np.ndarray) -> np.ndarray:
+        """self @ operand, shape (n_cols, w) -> (n_rows, w)."""
+        product = np.zeros((operand.shape[1], self.n_rows))
+        # One nnz-long buffer, refilled for each column. The operand has
+        # n_cols rows, so every index is in range and mode="clip" never clips;
+        # unlike "raise", it fills `out` without allocating a temporary first.
+        entries = np.empty(len(self.cols))
+        for j, column in enumerate(operand.T):
+            np.take(column, self.cols, out=entries, mode="clip")
+            entries *= self.weights
+            product[j, self.rows] = np.add.reduceat(entries, self.starts)
+        # The transpose of a C-ordered (w, n_rows) array: `hidden @ out_w` and
         # `d_hidden.sum(axis=0)` in `train` sum in the order this layout gives.
-        return pooled.T
-
-    def pool_grad(self, d_pooled: np.ndarray) -> np.ndarray:
-        """B.T @ d_pooled, shape (N, w) -> (V, w); unused ids get zero rows."""
-        grad = np.zeros((self.n_cols, d_pooled.shape[1]))
-        products = np.empty(len(self.col_rows))
-        for j, column in enumerate(d_pooled.T):
-            np.take(column, self.col_rows, out=products, mode="clip")
-            products *= self.col_weights
-            grad[self.used, j] = np.add.reduceat(products, self.col_starts)
-        return grad
+        return product.T
 
 
 def _split_indices(
@@ -520,7 +509,8 @@ def train(corpus: MessageSet, config: TrainConfig) -> DetectorModel:
     init, the train/validation split, and the update schedule all derive from
     config.seed. Each distinct word is segmented once, into the returned
     model's vocabulary memo. The split bags are sparse and pool the hidden
-    projection E @ W1, so each epoch costs O(nnz * h) rather than O(N * V).
+    projection E @ W1, so each epoch costs O(nnz * h) rather than O(N * V);
+    only the training bags build a transpose, for the gradient.
     Its gradients are the pooled-embedding ones reassociated:
     B.T @ (G @ W1.T) = (B.T @ G) @ W1.T and (B @ E).T @ G = E.T @ (B.T @ G).
     """
@@ -541,8 +531,9 @@ def train(corpus: MessageSet, config: TrainConfig) -> DetectorModel:
     train_idx, val_idx = _split_indices(y, config.val_fraction, rng)
     if val_idx.size == 0:
         raise DetectorError("corpus too small to hold out a validation split")
-    bags_train = _Bags.from_rows([piece_ids[i] for i in train_idx], len(vocab))
-    bags_val = _Bags.from_rows([piece_ids[i] for i in val_idx], len(vocab))
+    bags_train = _Sparse.bags([piece_ids[i] for i in train_idx], len(vocab))
+    bags_train_t = bags_train.transpose()
+    bags_val = _Sparse.bags([piece_ids[i] for i in val_idx], len(vocab))
     y_train = y[train_idx]
     val_scam = y[val_idx] == 1.0
 
@@ -552,13 +543,13 @@ def train(corpus: MessageSet, config: TrainConfig) -> DetectorModel:
     epochs_run = 0
     for _ in range(config.epochs):
         epochs_run += 1
-        hidden = act(bags_train.pool(embedding @ hidden_w) + hidden_b)
+        hidden = act(bags_train @ (embedding @ hidden_w) + hidden_b)
         probs = _sigmoid(hidden @ out_w + out_b)
         dz = (probs - y_train) / len(y_train)
         d_out_w = hidden.T @ dz
         d_out_b = float(dz.sum())
         d_hidden = dact(hidden) * np.outer(dz, out_w)
-        d_projection = bags_train.pool_grad(d_hidden)
+        d_projection = bags_train_t @ d_hidden
         d_hidden_w = embedding.T @ d_projection
         d_hidden_b = d_hidden.sum(axis=0)
         d_embedding = d_projection @ hidden_w.T
@@ -569,7 +560,7 @@ def train(corpus: MessageSet, config: TrainConfig) -> DetectorModel:
         out_w -= config.lr * d_out_w
         out_b -= config.lr * d_out_b
 
-        val_logits = act(bags_val.pool(embedding @ hidden_w) + hidden_b) @ out_w + out_b
+        val_logits = act(bags_val @ (embedding @ hidden_w) + hidden_b) @ out_w + out_b
         f1 = _logit_macro_f1(val_logits, val_scam)
         if best is None or f1 > best[0]:
             best = (

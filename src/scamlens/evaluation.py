@@ -31,6 +31,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from . import lexicon
 from .attribution import EvidenceSet
+from .corpus import finite_float
 from .generation import Condition, EndpointConfig, Explanation, post_json_with_retry, run_batch
 
 RISK_HYPOTHESIS = "The explanation identifies cues that support assessing message risk."
@@ -322,9 +323,9 @@ def metrics_from_record(record: Mapping[str, Any]) -> MessageMetrics:
     return MessageMetrics(
         message_id=str(record["message_id"]),
         condition=Condition(record["condition"]),
-        correctness=float(record["correctness"]),
-        fkgl=float(record["fkgl"]),
-        faithfulness=None if faith is None else float(faith),
+        correctness=finite_float(record["correctness"]),
+        fkgl=finite_float(record["fkgl"]),
+        faithfulness=None if faith is None else finite_float(faith),
     )
 
 

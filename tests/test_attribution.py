@@ -336,7 +336,8 @@ class TestEvidenceKeepMemo:
 @st.composite
 def evidence_sets(draw):
     phrases = draw(
-        st.lists(st.tuples(st.text(), st.floats(allow_nan=False)), max_size=8).map(tuple)
+        # `evidence_from_record` refuses a score that is not finite.
+        st.lists(st.tuples(st.text(), st.floats(allow_nan=False, allow_infinity=False)), max_size=8).map(tuple)
     )
     k = draw(st.integers(min_value=max(1, len(phrases)), max_value=64))
     return EvidenceSet(phrases=phrases, k=k)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -354,6 +355,24 @@ class TestBuildPrompts:
         assert [p.condition for p in prompts] == list(Condition)
         assert {p.message_id for p in prompts} == {self.MESSAGE.id}
         assert digests == self.PROMPT_DIGESTS
+
+
+class TestExplanationSubset:
+    def test_a_channel_without_messages_draws_nothing(self):
+        # No SNS message passes the filter, so only email and SMS are drawn from.
+        messages = [
+            m
+            for m in corpus.synth_corpus(seed=3, per_channel_per_label=6)
+            if m.label is corpus.Label.SCAM and m.channel is not corpus.Channel.SNS
+        ]
+        rng = random.Random(11)
+        drawn = []
+        for channel in (corpus.Channel.EMAIL, corpus.Channel.SMS):
+            stratum = [i for i, m in enumerate(messages) if m.channel is channel]
+            drawn.extend(rng.sample(stratum, 3))  # floor(0.5 * 6 + 0.5)
+        config = cli.RunConfig(sample_fraction=0.5, sample_seed=11)
+        subset = cli._explanation_subset(config, corpus.MessageSet(tuple(messages)))
+        assert subset.messages == tuple(messages[i] for i in sorted(drawn))
 
 
 class TestPipelineCommand:
@@ -1233,6 +1252,30 @@ class TestStageCommands:
         err = capsys.readouterr().err
         assert str(evidence_path) in err and "record 1" in err and "NaN" in err
         assert not metrics_path.exists()
+
+    @pytest.mark.parametrize("value", ['"nan"', '"inf"', "1e400"])
+    @pytest.mark.parametrize("field", ["correctness", "fkgl", "faithfulness", "score"])
+    def test_parsers_refuse_non_finite_numbers(self, tmp_path, capsys, field, value):
+        # A string or an overflowing literal is no NaN or Infinity literal, so
+        # the record parsers refuse it themselves. "@" marks the value's place.
+        if field == "score":
+            path, out = tmp_path / "evidence.jsonl", tmp_path / "metrics.jsonl"
+            record = {"id": "m1", "phrases": [{"word": "urgent", "score": "@"}], "k": 8, "seed": 0}
+            explanations = tmp_path / "explanations.jsonl"
+            row = {"message_id": "m1", "condition": "xai_only", "text": "Urgent.", "generator": "mock", "model_name": "mock"}
+            explanations.write_text(json.dumps(row) + "\n")
+            argv = ["evaluate", "--evidence", str(path), "--explanations", str(explanations), "--mock"]
+        else:
+            path, out = tmp_path / "metrics.jsonl", tmp_path / "report"
+            record = {"message_id": "m1", "condition": "xai_only", "faithfulness": 1.0, "correctness": 0.5, "fkgl": 3.0}
+            record[field] = "@"
+            argv = ["report", "--metrics", str(path)]
+        path.write_text(json.dumps(record).replace('"@"', value) + "\n")
+        rc = cli.main([*argv, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: record 1 is malformed (") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_report_rejects_unknown_condition(self, tmp_path, capsys):
         metrics_path = tmp_path / "metrics.jsonl"

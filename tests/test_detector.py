@@ -38,7 +38,7 @@ from scamlens.detector import (
     TokenizedInput,
     TrainConfig,
     Vocab,
-    _Bags,
+    _Sparse,
     _corpus_piece_ids,
     _sigmoid,
     _split_indices,
@@ -271,9 +271,9 @@ def dense_bags(rows, n_cols: int) -> np.ndarray:
     return bags
 
 
-def reference_bags(rows, n_cols: int) -> dict[str, np.ndarray]:
-    """The arrays `_Bags.from_rows` must build, dtype for dtype, derived with
-    `np.unique`."""
+def reference_bags(rows, n_cols: int) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """The arrays `_Sparse.bags` must build for B, and its `transpose()` for
+    B.T, dtype for dtype, derived with `np.unique`."""
     lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
     flat = np.fromiter((i for r in rows for i in r), dtype=np.intp, count=int(lengths.sum()))
     row_of = np.repeat(np.arange(len(rows), dtype=np.intp), lengths)
@@ -284,59 +284,60 @@ def reference_bags(rows, n_cols: int) -> dict[str, np.ndarray]:
     np.cumsum(np.bincount(row, minlength=len(rows)), out=indptr[1:])
     order = np.argsort(ids, kind="stable")
     used, col_starts = np.unique(ids[order], return_index=True)
-    return {
-        "indptr": indptr,
-        "ids": ids,
-        "weights": weights,
-        "used": used,
-        "col_starts": col_starts,
-        "col_rows": row[order],
-        "col_weights": weights[order],
-    }
+    bags = {"rows": np.arange(len(rows), dtype=np.intp), "starts": indptr[:-1], "cols": ids, "weights": weights}
+    transposed = {"rows": used, "starts": col_starts, "cols": row[order], "weights": weights[order]}
+    return bags, transposed
 
 
-def reference_pool(bags: _Bags, embedding: np.ndarray) -> np.ndarray:
+def reference_pool(bags: dict[str, np.ndarray], embedding: np.ndarray) -> np.ndarray:
     """B @ embedding through one (w, nnz) gather: the values and the layout
-    `_Bags.pool` must give."""
-    products = np.take(embedding.T, bags.ids, axis=1)
-    products *= bags.weights
-    return np.add.reduceat(products, bags.indptr[:-1], axis=1).T
+    `_Sparse.__matmul__` must give."""
+    products = np.take(embedding.T, bags["cols"], axis=1)
+    products *= bags["weights"]
+    return np.add.reduceat(products, bags["starts"], axis=1).T
 
 
-def reference_pool_grad(bags: _Bags, d_pooled: np.ndarray) -> np.ndarray:
+def reference_pool_grad(transposed: dict[str, np.ndarray], n_cols: int, d_pooled: np.ndarray) -> np.ndarray:
     """B.T @ d_pooled through one (w, nnz) gather: the values
-    `_Bags.pool_grad` must give."""
-    products = np.take(d_pooled.T, bags.col_rows, axis=1)
-    products *= bags.col_weights
-    grad = np.zeros((bags.n_cols, d_pooled.shape[1]))
-    grad[bags.used] = np.add.reduceat(products, bags.col_starts, axis=1).T
+    `_Sparse.__matmul__` must give."""
+    products = np.take(d_pooled.T, transposed["cols"], axis=1)
+    products *= transposed["weights"]
+    grad = np.zeros((n_cols, d_pooled.shape[1]))
+    grad[transposed["rows"]] = np.add.reduceat(products, transposed["starts"], axis=1).T
     return grad
 
 
 class TestBags:
     def _check(self, rows, n_cols, seed=0, width=5):
         rng = np.random.default_rng(seed)
-        bags = _Bags.from_rows(rows, n_cols)
-        for name, expected in reference_bags(rows, n_cols).items():
-            actual = getattr(bags, name)
-            assert actual.dtype == expected.dtype and np.array_equal(actual, expected), name
+        bags = _Sparse.bags(rows, n_cols)
+        transposed = bags.transpose()
+        expected_bags, expected_transposed = reference_bags(rows, n_cols)
+        for matrix, shape, arrays in (
+            (bags, (len(rows), n_cols), expected_bags),
+            (transposed, (n_cols, len(rows)), expected_transposed),
+        ):
+            assert (matrix.n_rows, matrix.n_cols) == shape
+            for name, expected in arrays.items():
+                actual = getattr(matrix, name)
+                assert actual.dtype == expected.dtype and np.array_equal(actual, expected), name
         dense = dense_bags(rows, n_cols)
         embedding = rng.normal(size=(n_cols, width))
         d_pooled = rng.normal(size=(len(rows), width))
-        pooled, expected = bags.pool(embedding), reference_pool(bags, embedding)
+        pooled, expected = bags @ embedding, reference_pool(expected_bags, embedding)
         np.testing.assert_allclose(pooled, dense @ embedding, rtol=0, atol=1e-12)
         assert np.array_equal(pooled, expected)
         # Same strides too: `train` sums `hidden @ out_w` and
         # `d_hidden.sum(axis=0)` in an order the layout sets.
         assert pooled.strides == expected.strides
-        grad = bags.pool_grad(d_pooled)
+        grad = transposed @ d_pooled
         np.testing.assert_allclose(grad, dense.T @ d_pooled, rtol=0, atol=1e-12)
-        assert np.array_equal(grad, reference_pool_grad(bags, d_pooled))
+        assert np.array_equal(grad, reference_pool_grad(expected_transposed, n_cols, d_pooled))
 
     @pytest.mark.parametrize("width", [1, 3, 8])
     def test_equals_the_reference_on_repeated_and_one_piece_rows(self, width):
         rows = [[0, 3, 3, 7, 0, 0], [5], [2, 8, 6, 3, 0, 5, 5, 2, 8, 8, 7, 6, 3, 2, 0, 0, 5], [7, 7]]
-        assert {1, 4, 9}.isdisjoint(_Bags.from_rows(rows, 10).used.tolist())
+        assert {1, 4, 9}.isdisjoint(_Sparse.bags(rows, 10).transpose().rows.tolist())
         self._check(rows, 10, seed=width, width=width)
 
     def test_matches_dense_products_on_tokenized_messages(self):
@@ -352,11 +353,29 @@ class TestBags:
         rows = _corpus_piece_ids(corpus, vocab, limit=30)
         assert len(rows[2]) == 30  # truncated past the limit
         assert len(set(rows[0])) < len(rows[0])  # repeated pieces
-        bags = _Bags.from_rows(rows, len(vocab))
-        unused = sorted(set(range(len(vocab))) - set(bags.used.tolist()))
+        transposed = _Sparse.bags(rows, len(vocab)).transpose()
+        unused = sorted(set(range(len(vocab))) - set(transposed.rows.tolist()))
         assert {vocab.index["zz"], vocab.index["qqq"]} <= set(unused)
         self._check(rows, len(vocab))
-        assert not bags.pool_grad(np.ones((3, 2)))[unused].any()
+        assert not (transposed @ np.ones((3, 2)))[unused].any()
+
+    def test_training_transposes_its_training_bags_only(self, small_corpus, monkeypatch):
+        built, transposed = [], []
+        bags, transpose = _Sparse.bags, _Sparse.transpose
+
+        def recording_bags(pieces, n_cols):
+            built.append(bags(pieces, n_cols))
+            return built[-1]
+
+        def recording_transpose(matrix):
+            transposed.append(matrix)
+            return transpose(matrix)
+
+        monkeypatch.setattr(_Sparse, "bags", recording_bags)
+        monkeypatch.setattr(_Sparse, "transpose", recording_transpose)
+        train(small_corpus, TrainConfig(seed=1, epochs=2, patience=2))
+        # The training bags are built first, then the validation bags.
+        assert len(built) == 2 and len(transposed) == 1 and transposed[0] is built[0]
 
     @given(
         st.integers(1, 30).flatmap(
@@ -728,14 +747,14 @@ class TestTrain:
         # one more (56, nnz) float64 gather.
         corpus = synth_corpus(seed=5, per_channel_per_label=500)
         nnz = []
-        from_rows = _Bags.from_rows
+        bags = _Sparse.bags
 
-        def recording_from_rows(rows, n_cols):
-            bags = from_rows(rows, n_cols)
-            nnz.append(len(bags.ids))
-            return bags
+        def recording_bags(pieces, n_cols):
+            matrix = bags(pieces, n_cols)
+            nnz.append(len(matrix.cols))
+            return matrix
 
-        monkeypatch.setattr(_Bags, "from_rows", recording_from_rows)
+        monkeypatch.setattr(_Sparse, "bags", recording_bags)
         peaks = {}
         for h in (8, 64):
             tracemalloc.start()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import base64
 import dataclasses
 import gc
 import itertools
@@ -370,6 +371,26 @@ class TestRemoteClient:
         [(path, headers, _)] = stub_server.requests
         assert path == "http://api.example.invalid/v1/chat/completions"
         assert headers["Host"] == "api.example.invalid"
+
+    @pytest.mark.parametrize("scheme", ["http", "https"])
+    def test_proxy_credentials_reach_the_proxy(self, stub_server, monkeypatch, no_proxy_env, scheme):
+        # The user name and password are percent-decoded before encoding.
+        proxy = stub_server.url.replace("://", "://us%40er:p%3Ass@", 1)
+        monkeypatch.setattr(generation, "_PROXIES", {scheme: proxy})
+        stub_server.script = [{"status": 200, "body": self._completion()}]
+        prompt = build_prompt(Condition.PURE_LLM, MESSAGE, message_id="m1")
+        if scheme == "http":
+            assert generate(client_config("http://api.example.invalid/v1"), prompt).text
+        else:
+            with pytest.raises(TransportError, match=r"Tunnel connection failed: 503"):
+                generate(client_config("https://api.example.invalid", max_retries=0), prompt)
+        [(path, headers, _)] = stub_server.requests
+        assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"us@er:p:ss").decode("ascii")
+        if scheme == "http":
+            assert path == "http://api.example.invalid/v1/chat/completions"
+        else:
+            assert path == "CONNECT api.example.invalid:443"
+            assert "Authorization" not in headers
 
     def test_no_proxy_bypasses_the_proxy(self, stub_server, monkeypatch, no_proxy_env):
         proxy = ScriptedServer()
