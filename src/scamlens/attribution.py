@@ -7,12 +7,15 @@ by raw score means negatively attributed words sort to the bottom.
 
 Work that cannot change within a process is done once: the random draws for
 each (seed, n_samples, d), and the filter's keep-test for each distinct word
-(an LRU of fixed size `lexicon.TOKEN_MEMO_SIZE`). Both memos live for the
-process, and every score and evidence set is the same as without them.
+it tests (an LRU of fixed size `lexicon.TOKEN_MEMO_SIZE`). The filter tests
+words in rank order and stops once it has k, so a word ranked below a
+message's k-th kept word is never tested. Both memos live for the process,
+and every score and evidence set is the same as without them.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Mapping, Sequence
@@ -54,6 +57,8 @@ class EvidenceSet:
     def __post_init__(self) -> None:
         if len(self.phrases) > self.k:
             raise ValueError("evidence set larger than its selection size k")
+        for _, score in self.phrases:
+            finite_float(score)
 
     def words(self) -> tuple[str, ...]:
         return tuple(word for word, _ in self.phrases)
@@ -162,15 +167,12 @@ def filter_evidence(scores: Mapping[int, float], words: Sequence[str], k: int) -
 
     Risk tokens (URL-like, currency, emphatic punctuation) bypass the
     stopword drop. Ranking is by signed score descending with earlier word
-    position breaking ties. An empty result is legal; callers flag it.
+    position breaking ties; words are tested in that order until k are
+    kept, so no word below the k-th kept one is tested. An empty result is
+    legal; callers flag it.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    survivors = [
-        (scores[position], position, words[position])
-        for position in sorted(scores)
-        if _is_evidence_word(words[position])
-    ]
-    survivors.sort(key=lambda item: (-item[0], item[1]))
-    top = survivors[:k]
-    return EvidenceSet(phrases=tuple((word, score) for score, _, word in top), k=k)
+    ranked = sorted(scores, key=lambda position: (-scores[position], position))
+    kept = itertools.islice((p for p in ranked if _is_evidence_word(words[p])), k)
+    return EvidenceSet(phrases=tuple((words[p], scores[p]) for p in kept), k=k)

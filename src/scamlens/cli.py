@@ -234,7 +234,7 @@ def apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 def _write_json(path: Path, payload: Mapping[str, Any]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True, ensure_ascii=False)
+        json.dump(payload, handle, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False)
         handle.write("\n")
 
 
@@ -485,15 +485,19 @@ def run_pipeline(config: RunConfig, allow_train: bool) -> Path:
         predicted_labels = {mid: p.predicted_label for mid, p in predictions.items()}
         with _stage("filter"):
             filtered = corpus.filter_for_explanation(messages, predicted_labels)
+        del messages, predictions, predicted_labels  # the corpus and its predictions
         if len(filtered) == 0:
             raise ConfigError("no messages survived the explanation filter")
         corpus.save_jsonl(filtered, run / "filtered.jsonl")
 
         with _stage("subset"):
             subset = _explanation_subset(config, filtered)
+        del filtered  # the filtered set; the subset holds what is explained
         corpus.save_jsonl(subset, run / "subset.jsonl")
 
+        train_seed = model.seed
         evidence_by_id, generated = _explain(config, model, subset, run)
+        del model  # the detector, with its vocabulary's segmentation memo
         metrics = _evaluate(config, generated, evidence_by_id, run / "metrics.jsonl")
         _report(metrics, run)
 
@@ -505,7 +509,7 @@ def run_pipeline(config: RunConfig, allow_train: bool) -> Path:
             "nli": "mock" if config.mock_nli else "remote",
             "seeds": {
                 "synth": config.synth_seed,
-                "train": model.seed,
+                "train": train_seed,
                 "sample": config.sample_seed,
                 "attribution": config.attribution.seed,
             },

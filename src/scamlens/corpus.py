@@ -376,12 +376,13 @@ def _message_set(messages: Iterable[Message], origin: str | Path) -> MessageSet:
         raise CorpusError(f"{origin}: {exc}") from None
 
 
-_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, allow_nan=False)
 
 
 def written_jsonl(path: str | Path, items: Iterable[T], to_record: Callable[[T], Mapping]) -> Iterator[T]:
     """Each item, passed on once `to_record(item)` is written to `path` as a JSON line with
-    sorted keys; the only JSON-lines writer. The file opens when the first item is asked for."""
+    sorted keys; the only JSON-lines writer. The file opens when the first item is asked for.
+    Like `read_jsonl`, it refuses NaN and the infinities."""
     with open(path, "w", encoding="utf-8") as handle:
         for item in items:
             handle.write(_JSONL_ENCODER.encode(to_record(item)) + "\n")

@@ -477,10 +477,16 @@ class _Sparse:
         # n_cols rows, so every index is in range and mode="clip" never clips;
         # unlike "raise", it fills `out` without allocating a temporary first.
         entries = np.empty(len(self.cols))
+        # B lists every row, so its sums go straight into row j; a transpose
+        # leaves out the piece ids no message uses.
+        every_row = len(self.rows) == self.n_rows
         for j, column in enumerate(operand.T):
             np.take(column, self.cols, out=entries, mode="clip")
             entries *= self.weights
-            product[j, self.rows] = np.add.reduceat(entries, self.starts)
+            if every_row:
+                np.add.reduceat(entries, self.starts, out=product[j])
+            else:
+                product[j, self.rows] = np.add.reduceat(entries, self.starts)
         # The transpose of a C-ordered (w, n_rows) array: `hidden @ out_w` and
         # `d_hidden.sum(axis=0)` in `train` sum in the order this layout gives.
         return product.T

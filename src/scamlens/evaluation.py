@@ -307,6 +307,11 @@ class MessageMetrics:
     fkgl: float
     faithfulness: float | None = None
 
+    def __post_init__(self) -> None:
+        for score in (self.correctness, self.fkgl, self.faithfulness):
+            if score is not None:
+                finite_float(score)
+
 
 def metrics_to_record(metrics: MessageMetrics) -> dict[str, object]:
     return {

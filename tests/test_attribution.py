@@ -332,6 +332,20 @@ class TestEvidenceKeepMemo:
     def test_memo_is_bounded(self):
         assert attribution._is_evidence_word.cache_info().maxsize == lexicon.TOKEN_MEMO_SIZE
 
+    def test_tests_words_in_rank_order_until_it_has_k(self, monkeypatch):
+        tested = []
+
+        def keeps(word):
+            tested.append(word)
+            return word != "the"
+
+        monkeypatch.setattr(attribution, "_is_evidence_word", keeps)
+        words = ("low", "the", "top", "mid", "tie", "last")
+        scores = {0: 0.1, 1: 0.9, 2: 0.8, 3: 0.5, 4: 0.5, 5: -0.2}
+        evidence = filter_evidence(scores, words, k=3)
+        assert evidence.phrases == (("top", 0.8), ("mid", 0.5), ("tie", 0.5))
+        assert tested == ["the", "top", "mid", "tie"]
+
 
 @st.composite
 def evidence_sets(draw):
@@ -350,3 +364,8 @@ class TestEvidenceRecord:
         record = evidence_to_record(message_id, evidence, seed)
         text = json.dumps(record, sort_keys=True, ensure_ascii=False)
         assert evidence_from_record(json.loads(text)) == (message_id, evidence)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_refuses_a_score_that_is_not_finite(self, bad):
+        with pytest.raises(ValueError, match="is not a finite number"):
+            EvidenceSet(phrases=(("verify", 0.5), ("now", bad)), k=8)

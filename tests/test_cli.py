@@ -3,9 +3,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import random
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from datetime import datetime
 from pathlib import Path
@@ -13,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from conftest import subprocess_env
-from scamlens import cli, corpus, detector, evaluation, generation, lexicon, persona
+from scamlens import attribution, cli, corpus, detector, evaluation, generation, lexicon, persona
 from scamlens.attribution import AttributionConfig, EvidenceSet
 from scamlens.cli import ConfigError, interpolate_env, load_run_config, parse_conditions
 from scamlens.evaluation import EvaluationConfig
@@ -686,6 +688,26 @@ class TestPipelineCommand:
             cli.run_pipeline(config, allow_train=True)
         assert info.value.stage == stage
         assert info.value.__cause__ is boom
+
+    def test_a_non_finite_evidence_score_fails_attribution_and_leaves_no_run_directory(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The stage that made the value fails, rather than writing an artifact
+        # that the stage commands' reader would refuse.
+        def infinite(model, tokenized, config):
+            return (math.inf,) * len(tokenized.piece_ids)
+
+        monkeypatch.setattr(attribution, "gradient_shap", infinite)
+        config = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert cli.main(["pipeline", "--config", str(config), "--mock", "--train", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: stage 'attribution' failed: inf is not a finite number\n"
+        assert not out.exists() and not (tmp_path / "run.partial").exists()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_json_writer_refuses_what_json_readers_refuse(self, tmp_path, bad):
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            cli._write_json(tmp_path / "report.json", {"mean": bad})
 
 
 class TestRunDirectory:
@@ -1553,6 +1575,38 @@ class TestAimLedger:
         explanations = len((run / "explanations.jsonl").read_text().splitlines())
         assert explanations > 1
         assert calls == ["build_prompt", "mock_generate", "mock_score_nli"] * explanations
+
+    def test_aim3_a_run_releases_the_corpus_after_the_filter_and_the_detector_after_attribution(
+        self, tmp_path, monkeypatch
+    ):
+        # Each per-run structure lives as long as the last stage that reads
+        # it: the subset stage runs without the corpus or its predictions, and
+        # explanation starts without the detector.
+        refs: dict[str, weakref.ref] = {}
+        alive_at: dict[str, list[str]] = {}
+
+        def recording(module, name, record=None, pick=lambda result: result, check=None):
+            call = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                if check and check not in alive_at:
+                    alive_at[check] = sorted(key for key, ref in refs.items() if ref() is not None)
+                result = call(*args, **kwargs)
+                if record:
+                    refs[record] = weakref.ref(pick(result))
+                return result
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        recording(corpus, "synth_corpus", record="corpus")
+        recording(detector, "train", record="model")
+        recording(detector, "predict_set", record="prediction", pick=lambda by_id: next(iter(by_id.values())))
+        recording(cli, "_explanation_subset", check="subset")
+        recording(generation, "build_prompt", check="prompts")
+        config = write_config(tmp_path)
+        assert cli.main(["pipeline", "--config", str(config), "--mock", "--train", "--out", str(tmp_path / "run")]) == 0
+        assert sorted(refs) == ["corpus", "model", "prediction"]
+        assert alive_at == {"subset": ["model"], "prompts": []}
 
     def test_aim3_outputs_are_a_pure_function_of_config_and_seeds_not_the_hash_seed(self, tmp_path):
         # perfbench pins PYTHONHASHSEED to 0, so only a test can see an

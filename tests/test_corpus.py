@@ -14,6 +14,7 @@ from scamlens.corpus import (
     EXPLANATION_TOKEN_CAP,
     Channel,
     CorpusError,
+    FormattedText,
     Label,
     Message,
     MessageSet,
@@ -27,6 +28,7 @@ from scamlens.corpus import (
     stratified_sample,
     synth_corpus,
     truncate_front,
+    write_jsonl,
 )
 
 
@@ -100,6 +102,15 @@ class TestFormatInput:
     def test_marker_matches_channel(self):
         m = Message(id="1", channel=Channel.EMAIL, body="x", label=Label.HAM)
         assert format_input(m).channel_marker == "<Email>"
+
+    def test_unknown_marker_rejected(self):
+        with pytest.raises(ValueError, match="unknown channel marker '<Fax>'"):
+            FormattedText("<Fax> hello", "<Fax>")
+
+    @pytest.mark.parametrize("text", ["hello <SMS>", "<SMS>hello", "<Email> hello"])
+    def test_text_without_its_marker_and_a_space_rejected(self, text):
+        with pytest.raises(ValueError, match="formatted text must start with its channel marker and a space"):
+            FormattedText(text, "<SMS>")
 
     def test_preserves_count_and_is_deterministic(self, small_corpus):
         once = [format_input(m).text for m in small_corpus]
@@ -264,6 +275,11 @@ class TestSynthCorpus:
             (ch, label): 100 for ch in Channel for label in Label
         }
 
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_size_below_one_rejected(self, size):
+        with pytest.raises(ValueError, match="per_channel_per_label must be positive"):
+            synth_corpus(seed=7, per_channel_per_label=size)
+
     def test_same_seed_byte_identical(self):
         a = _corpus_text(synth_corpus(seed=7, per_channel_per_label=25))
         b = _corpus_text(synth_corpus(seed=7, per_channel_per_label=25))
@@ -366,6 +382,11 @@ class TestJsonlRoundTrip:
         with pytest.raises(CorpusError, match=f"record 2 is malformed .*{literal} is not a finite number") as info:
             read_jsonl(path, dict)
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, bad):
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            write_jsonl(tmp_path / "rows.jsonl", [{"score": 1.5}, {"score": bad}])
 
     def test_duplicate_ids_name_the_file(self, tmp_path):
         path = tmp_path / "corpus.jsonl"

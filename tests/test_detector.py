@@ -488,6 +488,14 @@ class TestSegmentWord:
 
 
 class TestTokenize:
+    def test_unequal_piece_and_alignment_lengths_rejected(self):
+        with pytest.raises(ValueError, match="piece_ids and alignment must have equal length"):
+            TokenizedInput((5, 6), (0,), ("ab",))
+
+    def test_alignment_past_the_words_rejected(self):
+        with pytest.raises(ValueError, match="alignment references a word position out of range"):
+            TokenizedInput((5, 6), (0, 1), ("ab",))
+
     def test_special_ids_are_their_pieces_positions(self):
         assert SPECIAL_PIECES[PAD_ID] == PAD_PIECE
         assert SPECIAL_PIECES[UNK_ID] == UNK_PIECE
@@ -571,6 +579,10 @@ class TestForward:
         tok = TokenizedInput((len(model.vocab),), (0,), ("x",))
         with pytest.raises(DetectorError, match="out of range for vocabulary of"):
             embed(model, tok)
+
+    def test_input_without_pieces_cannot_be_embedded(self):
+        with pytest.raises(ValueError, match="cannot embed an input with no pieces"):
+            embed(zero_model(), TokenizedInput((), (), ()))
 
     def test_probability_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(0)
@@ -810,6 +822,11 @@ class TestImmutability:
             weights[name].flat[-1] = bad
         with pytest.raises(DetectorError, match="model weights contain non-finite values"):
             DetectorModel(vocab=trained_model.vocab, **weights)
+
+    @pytest.mark.parametrize("d, h", [(1, 3), (4, 0)])
+    def test_too_small_dimensions_rejected(self, d, h):
+        with pytest.raises(ValueError, match="embedding dim must be >= 2 and hidden dim >= 1"):
+            zero_model(d=d, h=h)
 
 
 class TestLogitMacroF1:

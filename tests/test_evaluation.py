@@ -607,3 +607,10 @@ class TestMetricsRecord:
     def test_round_trip_through_json(self, metrics):
         text = json.dumps(metrics_to_record(metrics), sort_keys=True, ensure_ascii=False)
         assert metrics_from_record(json.loads(text)) == metrics
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["correctness", "fkgl", "faithfulness"])
+    def test_refuses_a_score_that_is_not_finite(self, field, bad):
+        scores = {"correctness": 0.5, "fkgl": 6.0, "faithfulness": 1.0, field: bad}
+        with pytest.raises(ValueError, match="is not a finite number"):
+            MessageMetrics(message_id="m1", condition=Condition.XAI_ONLY, **scores)

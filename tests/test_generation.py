@@ -751,6 +751,17 @@ class TestExplanationRecord:
         text = json.dumps(explanation_to_record(explanation), sort_keys=True, ensure_ascii=False)
         assert explanation_from_record(json.loads(text)) == explanation
 
+    @pytest.mark.parametrize("text", ["", "  \n\t"])
+    def test_blank_text_rejected(self, text):
+        with pytest.raises(ValueError, match="explanation text must be non-empty"):
+            Explanation(
+                message_id="m1",
+                condition=Condition.XAI_ONLY,
+                text=text,
+                generator=GeneratorKind.MOCK,
+                model_name="m",
+            )
+
     def test_unknown_condition_rejected(self):
         record = {
             "message_id": "m1",
