@@ -6,8 +6,8 @@ into a compact ranked evidence set. Scores stay signed end to end; ranking
 by raw score means negatively attributed words sort to the bottom.
 
 Work that cannot change within a process is done once: the random draws for
-each (seed, n_samples, d), and the filter's keep-test for each distinct word
-it tests (an LRU of fixed size `lexicon.TOKEN_MEMO_SIZE`). The filter tests
+each (seed, n_samples, d), and, in `lexicon.is_content_token`'s memo, the
+content-word test of each distinct word the filter tests. The filter tests
 words in rank order and stops once it has k, so a word ranked below a
 message's k-th kept word is never tested. Both memos live for the process,
 and every score and evidence set is the same as without them.
@@ -152,27 +152,20 @@ def aggregate_to_words(scores: tuple[float, ...], tokenized: TokenizedInput) -> 
     return by_word
 
 
-@lru_cache(maxsize=lexicon.TOKEN_MEMO_SIZE)
-def _is_evidence_word(word: str) -> bool:
-    """Whether evidence filtering keeps `word`: not a channel marker, and
-    either a risk token or not a stopword surface."""
-    return word not in MARKER_TOKENS and (
-        lexicon.is_risk_token(word) or not lexicon.is_stopword_surface(word)
-    )
-
-
 def filter_evidence(scores: Mapping[int, float], words: Sequence[str], k: int) -> EvidenceSet:
-    """Drop stopwords and channel markers, keep risk tokens, take the top k.
+    """Drop channel markers and words without content, take the top k.
     `scores` maps positions in `words` to their scores.
 
-    Risk tokens (URL-like, currency, emphatic punctuation) bypass the
-    stopword drop. Ranking is by signed score descending with earlier word
-    position breaking ties; words are tested in that order until k are
-    kept, so no word below the k-th kept one is tested. An empty result is
-    legal; callers flag it.
+    A word has content by `lexicon.is_content_token`, so risk tokens
+    (URL-like, currency, emphatic punctuation) bypass the stopword drop.
+    Ranking is by signed score descending with earlier word position
+    breaking ties; words are tested in that order until k are kept, so no
+    word below the k-th kept one is tested. An empty result is legal;
+    callers flag it.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     ranked = sorted(scores, key=lambda position: (-scores[position], position))
-    kept = itertools.islice((p for p in ranked if _is_evidence_word(words[p])), k)
+    keeps = (p for p in ranked if words[p] not in MARKER_TOKENS and lexicon.is_content_token(words[p]))
+    kept = itertools.islice(keeps, k)
     return EvidenceSet(phrases=tuple((words[p], scores[p]) for p in kept), k=k)

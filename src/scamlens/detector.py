@@ -38,7 +38,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .corpus import (
     FormattedText,
     Label,
     MessageSet,
+    finite_float,
     format_input,
     truncate_front,
 )
@@ -278,6 +279,10 @@ class Prediction:
     predicted_label: Label
     logit: float
 
+    def __post_init__(self) -> None:
+        finite_float(self.scam_probability)
+        finite_float(self.logit)
+
 
 def prediction_to_record(message_id: str, prediction: Prediction) -> dict[str, object]:
     return {
@@ -286,6 +291,12 @@ def prediction_to_record(message_id: str, prediction: Prediction) -> dict[str, o
         "logit": prediction.logit,
         "predicted_label": prediction.predicted_label.value,
     }
+
+
+def prediction_from_record(record: Mapping[str, Any]) -> tuple[str, Prediction]:
+    """(message id, prediction); a non-finite number or an unknown label is refused."""
+    label = Label(record["predicted_label"])
+    return str(record["id"]), Prediction(float(record["scam_probability"]), label, float(record["logit"]))
 
 
 @dataclass(frozen=True)
@@ -340,11 +351,9 @@ class DetectorModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    # exp(-|z|) is exp(-z) where z >= 0 and exp(z) elsewhere, and never overflows.
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     # Keep the probability strictly inside (0, 1) even for extreme logits.
     return np.clip(out, 5e-324, np.nextafter(1.0, 0.0))
 
@@ -499,8 +508,7 @@ def _split_indices(
     train: list[int] = []
     val: list[int] = []
     for value in (0.0, 1.0):
-        idx = np.flatnonzero(labels == value)
-        idx = rng.permutation(idx)
+        idx = rng.permutation(np.flatnonzero(labels == value))
         n_val = int(round(val_fraction * len(idx)))
         n_val = min(max(n_val, 1), len(idx) - 1)
         val.extend(idx[:n_val].tolist())
@@ -546,9 +554,7 @@ def train(corpus: MessageSet, config: TrainConfig) -> DetectorModel:
     act, dact = ACTIVATIONS["tanh"]
     best: tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]] | None = None
     wait = 0
-    epochs_run = 0
-    for _ in range(config.epochs):
-        epochs_run += 1
+    for epochs_run in range(1, config.epochs + 1):
         hidden = act(bags_train @ (embedding @ hidden_w) + hidden_b)
         probs = _sigmoid(hidden @ out_w + out_b)
         dz = (probs - y_train) / len(y_train)
@@ -569,10 +575,7 @@ def train(corpus: MessageSet, config: TrainConfig) -> DetectorModel:
         val_logits = act(bags_val @ (embedding @ hidden_w) + hidden_b) @ out_w + out_b
         f1 = _logit_macro_f1(val_logits, val_scam)
         if best is None or f1 > best[0]:
-            best = (
-                f1,
-                (embedding.copy(), hidden_w.copy(), hidden_b.copy(), out_w.copy(), float(out_b)),
-            )
+            best = (f1, (embedding.copy(), hidden_w.copy(), hidden_b.copy(), out_w.copy(), float(out_b)))
             wait = 0
         else:
             wait += 1
@@ -605,11 +608,7 @@ def predict_set(model: DetectorModel, message_set: MessageSet) -> dict[str, Pred
     logits = logits_from_pooled(model, pooled)
     probabilities = _sigmoid(logits)
     return {
-        message.id: Prediction(
-            scam_probability=float(p),
-            predicted_label=Label.SCAM if p >= 0.5 else Label.HAM,
-            logit=float(z),
-        )
+        message.id: Prediction(float(p), Label.SCAM if p >= 0.5 else Label.HAM, float(z))
         for message, z, p in zip(message_set, logits, probabilities)
     }
 
@@ -694,7 +693,7 @@ def load_model(path: str | Path) -> DetectorModel:
             f"{path}: expected checkpoint format {CHECKPOINT_FORMAT!r}, got {found!r}"
         )
     try:
-        model = DetectorModel(
+        return DetectorModel(
             vocab=Vocab.from_pieces(payload["pieces"]),
             embedding=payload["embedding"],
             hidden_w=payload["hidden_w"],
@@ -709,4 +708,3 @@ def load_model(path: str | Path) -> DetectorModel:
         )
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise DetectorError(f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from None
-    return model

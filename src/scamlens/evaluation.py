@@ -13,11 +13,12 @@ The entailment probabilities come from an external scoring endpoint or from
 a deterministic lexicon-based mock. Aggregation reports mean and sample
 standard deviation per condition in the shape of a four-row results table.
 
-Per-token work (content lemma, syllable count, and the lemma of each evidence
-word) is memoized in LRU caches of fixed size `lexicon.TOKEN_MEMO_SIZE` that
-live for the process, and the last explanation's lemma set is kept for the
-faithfulness score that follows its mock entailment score; every score is the
-same as without them.
+Explanation tokens count towards faithfulness by `lexicon.is_content_token`,
+the rule evidence filtering keeps words by. Per-token work (content lemma,
+syllable count, and the lemma of each evidence word) is memoized in LRU
+caches of fixed size `lexicon.TOKEN_MEMO_SIZE` that live for the process,
+and the last explanation's lemma set is kept for the faithfulness score that
+follows its mock entailment score; every score is the same as without them.
 """
 
 from __future__ import annotations
@@ -101,12 +102,9 @@ def lemmatize(token: str) -> str:
 
 @lru_cache(maxsize=lexicon.TOKEN_MEMO_SIZE)
 def _content_lemma(token: str) -> str:
-    # Returns "" for a stopword. Stopwords are dropped by the same surface
-    # rule evidence filtering uses, so an echoed evidence word is never lost
-    # on one side only.
-    if lexicon.is_stopword_surface(token) and not lexicon.is_risk_token(token.lower()):
-        return ""
-    return lemmatize(token)
+    # "" for a token without content, by the rule evidence filtering keeps
+    # words by, so an echoed evidence word is never lost on one side only.
+    return lemmatize(token) if lexicon.is_content_token(token) else ""
 
 
 # Mock scoring and faithfulness read an explanation's lemmas one right after

@@ -1,20 +1,21 @@
 """Shared word lists and token patterns.
 
 Houses the pinned stopword list, the risk-token patterns that exempt words
-from stopword filtering, and the risk-cue word list used by the offline
-entailment scorer. All three are versioned so metric values stay stable
-across runs.
+from it in `is_content_token` (the one content-word rule), and the risk-cue
+word list used by the offline entailment scorer. All are versioned so metric
+values stay stable across runs.
 """
 
 from __future__ import annotations
 
 import re
 import string
+from functools import lru_cache
 
 STOPWORDS_VERSION = "en-core-v1"
 
-# Entries per per-word memo (evaluation's token memos, attribution's evidence
-# keep-test); fixed, so remote text cannot grow memory unbounded.
+# Entries per per-word memo (evaluation's token memos, `is_content_token`);
+# fixed, so remote text cannot grow memory unbounded.
 TOKEN_MEMO_SIZE = 1 << 16
 
 # Common English function words. Pinned here (rather than pulled from an NLP
@@ -77,12 +78,18 @@ def is_stopword_surface(word: str) -> bool:
     """Stopword test on a raw token: lowercased, edge punctuation stripped.
 
     A token of ASCII punctuation alone ("--", "...") strips to nothing, has
-    no content and counts as a stopword. Evidence filtering and explanation
-    tokenization must share this exact rule, otherwise an echoed evidence
-    word could be dropped on one side only and skew faithfulness.
+    no content and counts as a stopword.
     """
     stripped = word.lower().strip(string.punctuation)
     return not stripped or stripped in STOPWORDS
+
+
+@lru_cache(maxsize=TOKEN_MEMO_SIZE)
+def is_content_token(token: str) -> bool:
+    """A risk token, or not a stopword surface: the rule evidence filtering keeps
+    words by and faithfulness counts explanation tokens by, so an echoed
+    evidence word is never dropped on one side only."""
+    return is_risk_token(token) or not is_stopword_surface(token)
 
 
 # Word list for the deterministic offline entailment scorer: surface forms of

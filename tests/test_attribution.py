@@ -317,7 +317,7 @@ class TestEvidenceKeepMemo:
     @settings(max_examples=200, deadline=None)
     def test_memoized_keep_test_matches_uncached_rule(self, words, data):
         for word in words:
-            assert attribution._is_evidence_word(word) == _keeps_reference(word)
+            assert (word not in MARKER_TOKENS and lexicon.is_content_token(word)) == _keeps_reference(word)
         positions = data.draw(st.sets(st.integers(0, len(words) - 1)))
         scores = {
             p: data.draw(st.one_of(st.sampled_from([0.0, 0.5, -0.5]), st.floats(-1, 1)))
@@ -330,7 +330,7 @@ class TestEvidenceKeepMemo:
             )
 
     def test_memo_is_bounded(self):
-        assert attribution._is_evidence_word.cache_info().maxsize == lexicon.TOKEN_MEMO_SIZE
+        assert lexicon.is_content_token.cache_info().maxsize == lexicon.TOKEN_MEMO_SIZE
 
     def test_tests_words_in_rank_order_until_it_has_k(self, monkeypatch):
         tested = []
@@ -339,7 +339,7 @@ class TestEvidenceKeepMemo:
             tested.append(word)
             return word != "the"
 
-        monkeypatch.setattr(attribution, "_is_evidence_word", keeps)
+        monkeypatch.setattr(lexicon, "is_content_token", keeps)
         words = ("low", "the", "top", "mid", "tie", "last")
         scores = {0: 0.1, 1: 0.9, 2: 0.8, 3: 0.5, 4: 0.5, 5: -0.2}
         evidence = filter_evidence(scores, words, k=3)

@@ -12,6 +12,7 @@ from collections import Counter
 from datetime import datetime
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import subprocess_env
@@ -702,6 +703,14 @@ class TestPipelineCommand:
         out = tmp_path / "run"
         assert cli.main(["pipeline", "--config", str(config), "--mock", "--train", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: stage 'attribution' failed: inf is not a finite number\n"
+        assert not out.exists() and not (tmp_path / "run.partial").exists()
+
+    def test_a_non_finite_logit_fails_predict_and_leaves_no_run_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(detector, "logits_from_pooled", lambda model, pooled: np.full(len(pooled), np.inf))
+        config = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert cli.main(["pipeline", "--config", str(config), "--mock", "--train", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: stage 'predict' failed: inf is not a finite number\n"
         assert not out.exists() and not (tmp_path / "run.partial").exists()
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -1523,6 +1532,31 @@ class TestAimLedger:
         }
         digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in produced.items()}
         assert digests == GOLDEN_DIGESTS
+
+    def test_aim2_every_artifact_reads_back_to_its_own_bytes(self, tmp_path):
+        config = write_config(tmp_path)
+        run = tmp_path / "run"
+        assert cli.main(["pipeline", "--config", str(config), "--mock", "--train", "--out", str(run)]) == 0
+        seed = load_run_config(config).attribution.seed
+        messages = (corpus.message_from_record, corpus.message_to_record)
+        formats = {
+            "corpus.jsonl": messages,
+            "filtered.jsonl": messages,
+            "subset.jsonl": messages,
+            "predictions.jsonl": (detector.prediction_from_record, lambda pair: detector.prediction_to_record(*pair)),
+            "evidence.jsonl": (attribution.evidence_from_record, lambda pair: attribution.evidence_to_record(*pair, seed)),
+            "explanations.jsonl": (generation.explanation_from_record, generation.explanation_to_record),
+            "metrics.jsonl": (evaluation.metrics_from_record, evaluation.metrics_to_record),
+        }
+        assert set(formats) == {p.name for p in run.glob("*.jsonl")}
+        copies = tmp_path / "copies"
+        copies.mkdir()
+        for name, (parse, to_record) in formats.items():
+            corpus.write_jsonl(copies / name, map(to_record, corpus.read_jsonl(run / name, parse)))
+            assert (copies / name).read_bytes() == (run / name).read_bytes(), name
+        metrics = corpus.read_jsonl(run / "metrics.jsonl", evaluation.metrics_from_record)
+        cli._write_json(copies / "report.json", evaluation.report_to_json(evaluation.aggregate_report(metrics)))
+        assert (copies / "report.json").read_bytes() == (run / "report.json").read_bytes()
 
     def test_aim3_a_failed_run_never_leaves_a_half_written_run_directory(
         self, tmp_path, frozen_model, small_corpus, capsys

@@ -317,7 +317,26 @@ class TestSynthCorpus:
                 assert message.subject is None
 
 
+@st.composite
+def messages(draw):
+    channel = draw(st.sampled_from(Channel))
+    return Message(
+        id=draw(st.text()),
+        channel=channel,
+        body=draw(st.text().filter(str.strip)),
+        label=draw(st.sampled_from(Label)),
+        subject=draw(st.none() | st.text()) if channel is Channel.EMAIL else None,
+        source=draw(st.text()),
+    )
+
+
 class TestJsonlRoundTrip:
+    @given(messages())
+    @settings(max_examples=100, deadline=None)
+    def test_record_round_trip_through_json(self, message):
+        text = json.dumps(corpus.message_to_record(message), sort_keys=True, ensure_ascii=False)
+        assert corpus.message_from_record(json.loads(text)) == message
+
     def test_save_load_preserves_messages(self, tmp_path, small_corpus):
         path = tmp_path / "corpus.jsonl"
         save_jsonl(small_corpus, path)

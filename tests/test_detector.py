@@ -35,6 +35,7 @@ from scamlens.detector import (
     UNK_PIECE,
     DetectorError,
     DetectorModel,
+    Prediction,
     TokenizedInput,
     TrainConfig,
     Vocab,
@@ -47,6 +48,8 @@ from scamlens.detector import (
     load_model,
     macro_f1,
     predict_set,
+    prediction_from_record,
+    prediction_to_record,
     save_model,
     tokenize,
     train,
@@ -589,6 +592,63 @@ class TestForward:
         model = make_model(rng, scale=80.0)
         p = predict_one(model, sms("abc def")).scam_probability
         assert 0.0 < p < 1.0
+
+
+def _two_branch_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return np.clip(out, 5e-324, np.nextafter(1.0, 0.0))
+
+
+_LOGITS = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, np.inf, -np.inf, 1e308, -1e308, 5e-324, -5e-324]),
+        st.floats(allow_nan=False),
+        st.floats(-800.0, 800.0),
+    ),
+    min_size=1,
+    max_size=64,
+)
+
+
+class TestSigmoid:
+    @given(_LOGITS)
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_to_the_two_branch_form(self, values):
+        z = np.array(values)
+        assert _sigmoid(z).tobytes() == _two_branch_sigmoid(z).tobytes()
+
+
+class TestPredictionRecord:
+    @given(
+        st.text(),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from(Label),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_through_json(self, message_id, probability, label, logit):
+        prediction = Prediction(probability, label, logit)
+        text = json.dumps(prediction_to_record(message_id, prediction), sort_keys=True, ensure_ascii=False)
+        assert prediction_from_record(json.loads(text)) == (message_id, prediction)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["scam_probability", "logit"])
+    def test_refuses_a_number_that_is_not_finite(self, field, bad):
+        values = {"scam_probability": 0.9, "logit": 2.2, field: bad}
+        with pytest.raises(ValueError, match="is not a finite number"):
+            Prediction(predicted_label=Label.SCAM, **values)
+        record = {"id": "m1", "predicted_label": "scam", **values}
+        with pytest.raises(ValueError, match="is not a finite number"):
+            prediction_from_record(record)
+
+    def test_refuses_an_unknown_label(self):
+        record = {"id": "m1", "scam_probability": 0.9, "logit": 2.2, "predicted_label": "spam"}
+        with pytest.raises(ValueError, match="'spam' is not a valid Label"):
+            prediction_from_record(record)
 
 
 class TestGradients:
