@@ -273,8 +273,8 @@ def _run_dir(out_dir: str | None) -> Iterator[tuple[Path, Path]]:
 
 # ---------------------------------------------------------------------------
 # Pipeline stages. `run_pipeline` and the stage subcommands share one function
-# per stage (`_predict`, `_explain`, `_evaluate`, `_report`) that runs the stage
-# and writes its artifacts.
+# per stage (`_train`, `_predict`, `_explain`, `_evaluate`, `_report`) that
+# runs the stage and writes its artifacts.
 # ---------------------------------------------------------------------------
 
 
@@ -392,6 +392,12 @@ def _generate_all(
     return _staged("generate", generation.generate_many(config.llm, prompts))
 
 
+def _train(config: RunConfig, messages: corpus.MessageSet, path: str | Path) -> detector.DetectorModel:
+    model = detector.train(messages, detector.TrainConfig(**config.train))
+    detector.save_model(model, path)
+    return model
+
+
 def _predict(
     model: detector.DetectorModel, messages: corpus.MessageSet, path: Path
 ) -> dict[str, detector.Prediction]:
@@ -477,8 +483,7 @@ def run_pipeline(config: RunConfig, allow_train: bool) -> Path:
             if config.model_path:
                 model = detector.load_model(config.model_path)
             else:
-                model = detector.train(messages, detector.TrainConfig(**config.train))
-                detector.save_model(model, run / "model.json")
+                model = _train(config, messages, run / "model.json")
 
         predictions = _predict(model, messages, run / "predictions.jsonl")
 
@@ -551,8 +556,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     _check_out_file(args.out)
     config = apply_overrides(load_run_config(args.config), args)
     messages = corpus.load_jsonl(args.corpus)
-    model = detector.train(messages, detector.TrainConfig(**config.train))
-    detector.save_model(model, args.out)
+    with _stage("model"):
+        model = _train(config, messages, args.out)
     print(f"trained detector (validation macro F1 {model.val_macro_f1:.4f}) -> {args.out}")
     return 0
 

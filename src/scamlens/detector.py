@@ -326,6 +326,8 @@ class DetectorModel:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.piece_limit < 1:
             raise ValueError(f"piece_limit must be >= 1, got {self.piece_limit}")
+        if self.val_macro_f1 is not None:
+            finite_float(self.val_macro_f1)
         for name in ("embedding", "hidden_w", "hidden_b", "out_w"):
             array = np.array(getattr(self, name), dtype=np.float64)
             array.setflags(write=False)
@@ -693,6 +695,10 @@ def load_model(path: str | Path) -> DetectorModel:
             f"{path}: expected checkpoint format {CHECKPOINT_FORMAT!r}, got {found!r}"
         )
     try:
+        # Python's bool is an int, but a JSON boolean is no count or seed.
+        for key, kind in (("piece_limit", int), ("seed", int), ("epochs_run", int | None)):
+            if isinstance(value := payload.get(key), bool) or not isinstance(value, kind):
+                raise TypeError(f"{key} must be {getattr(kind, '__name__', kind)}, got {value!r}")
         return DetectorModel(
             vocab=Vocab.from_pieces(payload["pieces"]),
             embedding=payload["embedding"],
@@ -701,8 +707,8 @@ def load_model(path: str | Path) -> DetectorModel:
             out_w=payload["out_w"],
             out_b=float(payload["out_b"]),
             activation=payload["activation"],
-            piece_limit=int(payload["piece_limit"]),
-            seed=int(payload["seed"]),
+            piece_limit=payload["piece_limit"],
+            seed=payload["seed"],
             val_macro_f1=payload.get("val_macro_f1"),
             epochs_run=payload.get("epochs_run"),
         )

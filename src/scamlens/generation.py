@@ -7,8 +7,8 @@ message that upstream stages already judged to be a scam.
 
 The module also holds the one request path of both remote clients, this one
 and the entailment scorer: `post_json_with_retry` over `http.client`, and
-`run_batch`, which keeps up to MAX_IN_FLIGHT requests in flight, each worker
-on a connection it keeps for the batch.
+`run_batch`, which keeps up to MAX_IN_FLIGHT requests in flight; it sets the
+`_worker` state by which each worker keeps its connections for the batch.
 """
 
 from __future__ import annotations
@@ -214,8 +214,8 @@ _QUICKACK = getattr(socket, "TCP_QUICKACK", None)
 
 _CONNECTIONS = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
 
-# `batch` is the _Batch a run_batch pool worker serves, and `index` the input
-# index of the call it runs; both unset elsewhere.
+# `batch` is the _Batch a run_batch pool worker serves and `index` the input
+# index of the call it runs, both set by run_batch's `guarded` before each call.
 _worker = threading.local()
 
 
@@ -271,13 +271,6 @@ class _Route:
         )
         return cls(conn, urlunsplit(url._replace(fragment="")), auth)
 
-    def send(self, body: bytes, headers: Mapping[str, str]) -> http.client.HTTPResponse:
-        """POST `body` and read the answer's status line and headers."""
-        self.conn.request("POST", self.target, body, {**headers, **self.headers})
-        if _QUICKACK is not None:
-            self.conn.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
-        return self.conn.getresponse()
-
 
 class _Batch:
     """The connections and failures of one run_batch. Each worker keeps one
@@ -291,20 +284,11 @@ class _Batch:
         self.gate = threading.Semaphore(OPENING_GATE)
         self.failed: list[int] = []
 
-    def serve(self) -> None:
-        _worker.batch = self
-
     def check(self, index: int) -> None:
         """Stop the call at `index` if a call before it has failed: its result
         is never read."""
         if self.failed and min(self.failed) < index:
             raise CancelledError("an earlier call of the batch failed")
-
-    def close(self) -> None:
-        """Close every kept connection; called once no worker runs."""
-        for route in self.kept.values():
-            route.conn.close()
-        self.kept.clear()
 
 
 def _exchange(
@@ -314,13 +298,16 @@ def _exchange(
     keep: Callable[[_Route], None] | None,
     reused: bool = False,
 ) -> tuple[int, http.client.HTTPMessage, bytes] | None:
-    """Send on `route` and drain the whole answer: status, headers and body.
+    """POST `body` on `route` and drain the whole answer: status, headers and body.
     The connection then goes to `keep`, or is closed when there is no `keep`,
     when the server closes it, or on any failure. None, for a `reused` route
     found closed or reset before it answers."""
     answered = False
     try:
-        response = route.send(body, headers)
+        route.conn.request("POST", route.target, body, {**headers, **route.headers})
+        if _QUICKACK is not None:
+            route.conn.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
+        response = route.conn.getresponse()
         answered = True
         raw = response.read()
     except BaseException as exc:
@@ -436,11 +423,11 @@ def run_batch(
     """
     source = iter(items)
     batch = _Batch()
-    pool = ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT, initializer=batch.serve)
+    pool = ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT)
 
     def guarded(index: int, item: _Item) -> _Result:
         batch.check(index)
-        _worker.index = index
+        _worker.batch, _worker.index = batch, index
         try:
             return call(config, item)
         except BaseException:
@@ -463,7 +450,8 @@ def run_batch(
     finally:
         batch.failed.append(-1)  # no result is read any more: a waiting call sends nothing
         pool.shutdown(wait=True, cancel_futures=True)
-        batch.close()
+        for route in batch.kept.values():  # no worker runs any more
+            route.conn.close()
         close = getattr(source, "close", None)
         if close is not None:
             close()

@@ -933,6 +933,62 @@ class TestRemoteOverlap:
         assert not out.exists() and not out.with_name("run.partial").exists()
 
 
+def _echo_answer(path, body):
+    """A completion that echoes the prompt's evidence lines, so explanations differ by prompt."""
+    if path == "/chat/completions":
+        user = body["messages"][-1]["content"]
+        cues = " , ".join(line[2:] for line in user.splitlines() if line.startswith("- "))
+        return {"choices": [{"message": {"content": f"This message is a scam : {cues or 'no cues'} ."}}]}
+    return {"entailment": 0.7, "neutral": 0.2, "contradiction": 0.1}
+
+
+class TestRetryBudget:
+    """A 503 is retried up to `max_retries` times, so a run whose requests
+    draw no more 503s than that writes the same bytes as a run that draws none."""
+
+    @staticmethod
+    def _pipeline(tmp_path, server, max_retries, out):
+        endpoint = {"base_url": server.url, "api_key_env_var": None, "max_retries": max_retries,
+                    "timeout": 10, "backoff_base": 0.001}
+        config = write_config(tmp_path, llm={**endpoint, "model_name": "stub-model"}, nli=endpoint)
+        return cli.main(["pipeline", "--config", str(config), "--train", "--out", str(out)])
+
+    # With one request in flight per endpoint, the first request draws all k 503s in a row.
+    @pytest.mark.parametrize("in_flight", [1, MAX_IN_FLIGHT])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_503s_within_the_budget_change_no_artifact_byte(
+        self, tmp_path, keep_alive_server, monkeypatch, k, in_flight
+    ):
+        monkeypatch.setattr(generation, "MAX_IN_FLIGHT", in_flight)
+        rejections = iter(range(k))
+        status = lambda path: 503 if next(rejections, None) is not None else 200  # noqa: E731
+        keep_alive_server.script = [{"status": status, "body": _echo_answer}]
+        out = tmp_path / "run"
+        assert self._pipeline(tmp_path, keep_alive_server, k, out) == 0
+        assert next(rejections, None) is None, "every 503 was drawn"
+        retried = out.rename(tmp_path / "retried")
+        assert self._pipeline(tmp_path, keep_alive_server, k, out) == 0
+        # Each run sends one chat and one NLI request per explanation, and the first k more.
+        explanations = len((out / "explanations.jsonl").read_text().splitlines())
+        assert len(keep_alive_server.requests) == 2 * 2 * explanations + k
+        assert sorted(p.name for p in retried.iterdir()) == sorted(p.name for p in out.iterdir())
+        for path in out.iterdir():
+            if path.name != "manifest.json":
+                assert (retried / path.name).read_bytes() == path.read_bytes(), path.name
+        manifests = [json.loads((run / "manifest.json").read_text()) for run in (retried, out)]
+        for manifest in manifests:
+            del manifest["created_utc"]
+        assert manifests[0] == manifests[1]
+
+    def test_an_nli_request_that_draws_only_503s_fails_stage_evaluate(self, tmp_path, keep_alive_server, capsys):
+        keep_alive_server.script = [{"status": lambda path: 503 if path == "/nli" else 200, "body": _echo_answer}]
+        out = tmp_path / "run"
+        assert self._pipeline(tmp_path, keep_alive_server, 3, out) == 1
+        expected = f"error: stage 'evaluate' failed: {keep_alive_server.url}/nli: server error (503)\n"
+        assert capsys.readouterr().err == expected
+        assert not out.exists() and not (tmp_path / "run.partial").exists()
+
+
 class TestStageCommands:
     def test_ingest_then_sample_round_trip(self, tmp_path):
         raw = tmp_path / "raw.jsonl"
@@ -1024,6 +1080,20 @@ class TestStageCommands:
         assert cli.main(args + ["--config", str(config)]) == 1
         assert "val_fraction" in capsys.readouterr().err
         assert not model_path.exists()
+
+    def test_train_and_pipeline_name_stage_model(self, tmp_path, small_corpus, capsys):
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus.save_jsonl(corpus.MessageSet(tuple(m for m in small_corpus if m.label is corpus.Label.HAM)), corpus_path)
+        refusal = "error: stage 'model' failed: training corpus must contain both scam and ham messages\n"
+        model_path = tmp_path / "model.json"
+        assert cli.main(["train", "--corpus", str(corpus_path), "--out", str(model_path)]) == 1
+        assert capsys.readouterr().err == refusal
+        assert not model_path.exists()
+        config = write_config(tmp_path, corpus_path=str(corpus_path))
+        out = tmp_path / "run"
+        assert cli.main(["pipeline", "--config", str(config), "--mock", "--train", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == refusal
+        assert not out.exists() and not (tmp_path / "run.partial").exists()
 
     @pytest.mark.parametrize("out", ["nodir/out.json", "."], ids=["missing_parent", "directory"])
     def test_commands_check_their_out_before_any_work(
@@ -1512,6 +1582,8 @@ class TestAimLedger:
         staged = tmp_path / "staged"
         model = str(run / "model.json")
         commands = [
+            ["train", "--config", str(config), "--corpus", str(run / "corpus.jsonl"),
+             "--out", str(tmp_path / "model.json")],
             ["predict", "--corpus", str(run / "corpus.jsonl"), "--model", model,
              "--out", str(tmp_path / "predictions.jsonl")],
             ["explain", "--config", str(config), "--mock", "--corpus", str(run / "subset.jsonl"),
@@ -1532,6 +1604,7 @@ class TestAimLedger:
         }
         digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in produced.items()}
         assert digests == GOLDEN_DIGESTS
+        assert (tmp_path / "model.json").read_bytes() == (run / "model.json").read_bytes()
 
     def test_aim2_every_artifact_reads_back_to_its_own_bytes(self, tmp_path):
         config = write_config(tmp_path)

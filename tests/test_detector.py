@@ -1042,6 +1042,14 @@ class TestCheckpoint:
                 lambda payload: payload.update(pieces=payload["pieces"] + payload["pieces"][-1:]),
                 "duplicate pieces",
             ),
+            # Loading 1.9 as seed 1, or 2.7 as piece_limit 2, would misreport
+            # the run's provenance or silently change tokenization.
+            (lambda payload: payload.update(seed=1.9), "seed must be int, got 1.9"),
+            (lambda payload: payload.update(seed=True), "seed must be int, got True"),
+            (lambda payload: payload.update(piece_limit=2.7), "piece_limit must be int, got 2.7"),
+            (lambda payload: payload.update(val_macro_f1="abc"), "could not convert string to float: 'abc'"),
+            (lambda payload: payload.update(val_macro_f1=float("nan")), "nan is not a finite number"),
+            (lambda payload: payload.update(epochs_run=[1]), "epochs_run must be int | None, got [1]"),
         ],
         ids=[
             "missing_embedding",
@@ -1052,6 +1060,12 @@ class TestCheckpoint:
             "piece_limit_zero",
             "pieces_lack_specials",
             "pieces_repeat_one",
+            "float_seed",
+            "bool_seed",
+            "float_piece_limit",
+            "string_val_macro_f1",
+            "nan_val_macro_f1",
+            "list_epochs_run",
         ],
     )
     def test_malformed_checkpoint_names_the_file(self, tmp_path, trained_model, edit, cause):
@@ -1066,6 +1080,17 @@ class TestCheckpoint:
             load_model(path)
         assert str(path) in str(info.value)
         assert cause in str(info.value)
+
+    @pytest.mark.parametrize("f1", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_val_macro_f1_refused_at_construction(self, trained_model, f1):
+        with pytest.raises(ValueError, match="is not a finite number"):
+            replace(trained_model, val_macro_f1=f1)
+
+    def test_absent_provenance_still_loads(self, tmp_path, trained_model):
+        path = tmp_path / "model.json"
+        save_model(replace(trained_model, val_macro_f1=None, epochs_run=None), path)
+        loaded = load_model(path)
+        assert loaded.val_macro_f1 is None and loaded.epochs_run is None
 
     def test_legacy_frozen_key_ignored(self, tmp_path, trained_model):
         import json
